@@ -468,13 +468,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
     {
       const Stopwatch watch;
       stats = refineProfile(inst, result.schedule, refineOptions);
-      result.refineStats.rounds += stats.rounds;
-      result.refineStats.transfers += stats.transfers;
-      result.refineStats.energyMoved += stats.energyMoved;
-      result.refineStats.slack.queries += stats.slack.queries;
-      result.refineStats.slack.hits += stats.slack.hits;
-      result.refineStats.slack.rebuilds += stats.slack.rebuilds;
-      result.refineStats.slack.invalidations += stats.slack.invalidations;
+      result.refineStats.add(stats);
       // refineProfile mutates the schedule in place; refresh the incumbent
       // accuracy before re-solving for the refined loads.
       currentAccuracy = result.schedule.totalAccuracy(inst);

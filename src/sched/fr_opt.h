@@ -3,6 +3,7 @@
 // profile-space escape searches driven by the ProfileEvaluator engine.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -48,6 +49,32 @@ struct FrOptCounters {
   long long crossInvalidations = 0;
   long long crossContended = 0;  ///< shard-mutex contention events
   long long crossShards = 0;     ///< shard count of the attached cache
+
+  /// Folds another solve's counters in: work and time add up; crossShards
+  /// describes a cache, not traffic, so it folds with max.
+  void add(const FrOptCounters& other) {
+    evaluations += other.evaluations;
+    cacheHits += other.cacheHits;
+    scheduleSolves += other.scheduleSolves;
+    directionLpSolves += other.directionLpSolves;
+    outerRounds += other.outerRounds;
+    pairMoves += other.pairMoves;
+    directionSteps += other.directionSteps;
+    expandSeconds += other.expandSeconds;
+    refineSeconds += other.refineSeconds;
+    pairSeconds += other.pairSeconds;
+    directionSeconds += other.directionSeconds;
+    totalSeconds += other.totalSeconds;
+    slackQueries += other.slackQueries;
+    slackHits += other.slackHits;
+    slackRebuilds += other.slackRebuilds;
+    slackInvalidations += other.slackInvalidations;
+    crossHits += other.crossHits;
+    crossMisses += other.crossMisses;
+    crossInvalidations += other.crossInvalidations;
+    crossContended += other.crossContended;
+    crossShards = std::max(crossShards, other.crossShards);
+  }
 };
 
 struct FrOptOptions {

@@ -1,7 +1,10 @@
 #include "sched/refine_profile.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/check.h"
@@ -23,6 +26,65 @@ struct Pair {
 
 constexpr double kPsiTol = 1e-12;
 
+/// Ordered set over the positions [0, size]: a 64-ary bitset hierarchy in
+/// which bit i of level l + 1 marks "word i of level l is non-zero". Updates
+/// and predecessor queries touch one word per level.
+class LiveSet {
+ public:
+  explicit LiveSet(std::uint32_t size) {
+    // Capacity size + 1 so prevBelow(size) — "start above the last
+    // position" — indexes a real word.
+    std::size_t bits = static_cast<std::size_t>(size) + 1;
+    do {
+      bits = (bits + 63) / 64;
+      levels_.emplace_back(bits, 0);
+    } while (bits > 1);
+  }
+
+  void insert(std::uint32_t i) {
+    for (std::vector<std::uint64_t>& level : levels_) {
+      std::uint64_t& word = level[i >> 6];
+      const bool wasEmpty = word == 0;
+      word |= bit(i);
+      if (!wasEmpty) return;
+      i >>= 6;
+    }
+  }
+
+  void erase(std::uint32_t i) {
+    for (std::vector<std::uint64_t>& level : levels_) {
+      std::uint64_t& word = level[i >> 6];
+      word &= ~bit(i);
+      if (word != 0) return;
+      i >>= 6;
+    }
+  }
+
+  /// Largest member strictly below `q`, or -1 when there is none.
+  std::int64_t prevBelow(std::uint32_t q) const {
+    for (std::size_t l = 0; l < levels_.size(); ++l) {
+      const std::uint64_t below = levels_[l][q >> 6] & (bit(q) - 1);
+      if (below != 0) {
+        std::uint32_t i = (q & ~63u) | highest(below);
+        while (l-- > 0) i = (i << 6) | highest(levels_[l][i]);
+        return i;
+      }
+      q >>= 6;
+    }
+    return -1;
+  }
+
+ private:
+  static std::uint64_t bit(std::uint32_t i) {
+    return std::uint64_t{1} << (i & 63);
+  }
+  static std::uint32_t highest(std::uint64_t word) {
+    return static_cast<std::uint32_t>(63 - std::countl_zero(word));
+  }
+
+  std::vector<std::vector<std::uint64_t>> levels_;  ///< level 0 = positions
+};
+
 }  // namespace
 
 RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
@@ -32,10 +94,16 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
   const int m = inst.numMachines();
   if (n == 0) return stats;
 
-  // Static pair list sorted by non-increasing accuracy-per-Joule.
+  // Static pair list sorted by non-increasing accuracy-per-Joule. firstSeg[j]
+  // numbers task j's segments globally, so (firstSeg[j] + k) · m + r is the
+  // pair's creation index.
   std::vector<Pair> pairs;
+  std::vector<std::size_t> firstSeg(static_cast<std::size_t>(n) + 1, 0);
   for (int j = 0; j < n; ++j) {
     const PiecewiseLinearAccuracy& acc = inst.task(j).accuracy;
+    firstSeg[static_cast<std::size_t>(j) + 1] =
+        firstSeg[static_cast<std::size_t>(j)] +
+        static_cast<std::size_t>(acc.numSegments());
     for (int k = 0; k < acc.numSegments(); ++k) {
       const AccuracySegment seg = acc.segment(k);
       for (int r = 0; r < m; ++r) {
@@ -44,12 +112,24 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
       }
     }
   }
+  DSCT_CHECK_MSG(pairs.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "refine pair count " << pairs.size() << " exceeds 32 bits");
   std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
     if (a.psi != b.psi) return a.psi > b.psi;
     if (a.task != b.task) return a.task < b.task;
     if (a.segment != b.segment) return a.segment < b.segment;
     return a.machine < b.machine;
   });
+  const auto numPairs = static_cast<std::uint32_t>(pairs.size());
+  // Creation index → sorted position.
+  std::vector<std::uint32_t> position(pairs.size());
+  for (std::uint32_t q = 0; q < numPairs; ++q) {
+    const Pair& pr = pairs[q];
+    position[(firstSeg[static_cast<std::size_t>(pr.task)] +
+              static_cast<std::size_t>(pr.segment)) *
+                 static_cast<std::size_t>(m) +
+             static_cast<std::size_t>(pr.machine)] = q;
+  }
 
   // Current FLOP allocation per task, updated incrementally.
   std::vector<double> flops(static_cast<std::size_t>(n));
@@ -72,10 +152,44 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
     }
   }
 
+  // Joules a pair could give up right now, or −∞ when it holds no time on
+  // its machine or no FLOPs inside its segment.
+  const auto donorEnergy = [&](const Pair& pr) {
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
+    const double t = schedule.at(pr.task, pr.machine);
+    if (t <= 1e-12) return kNone;
+    const Machine& ms = inst.machine(pr.machine);
+    const double usedInSeg = std::clamp(
+        flops[static_cast<std::size_t>(pr.task)] - pr.fLo, 0.0,
+        pr.fHi - pr.fLo);
+    if (usedInSeg <= 1e-12) return kNone;
+    return std::min(usedInSeg / ms.efficiency, t * ms.power());
+  };
+
+  // Live donors (DESIGN.md §19): the positions whose pair passes every donor
+  // guard. A transfer only changes its two tasks' time and FLOPs, so
+  // re-testing those tasks' pairs keeps the set exact.
+  LiveSet live(numPairs);
+  const auto retest = [&](int task) {
+    const std::size_t begin =
+        firstSeg[static_cast<std::size_t>(task)] * static_cast<std::size_t>(m);
+    const std::size_t end = firstSeg[static_cast<std::size_t>(task) + 1] *
+                            static_cast<std::size_t>(m);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t q = position[i];
+      if (donorEnergy(pairs[q]) > options.tol) {
+        live.insert(q);
+      } else {
+        live.erase(q);
+      }
+    }
+  };
+  for (int j = 0; j < n; ++j) retest(j);
+
   for (stats.rounds = 0; stats.rounds < options.maxRounds; ++stats.rounds) {
     if (stopRequested(options.cancel)) break;
     long transfersThisRound = 0;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
+    for (std::uint32_t p = 0; p < numPairs; ++p) {
       const Pair& grow = pairs[p];
       if (grow.slope <= 0.0) continue;  // flat segments can only donate
       const Machine& mr = inst.machine(grow.machine);
@@ -98,22 +212,18 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
       }
       if (eAdd <= options.tol) continue;
 
-      // Scan donors from the cheapest ψ upward (paper line 9's reverse
-      // iteration); stop once donors are no cheaper than the grower.
-      for (std::size_t q = pairs.size(); q-- > p + 1 && eAdd > options.tol;) {
-        const Pair& shrink = pairs[q];
+      // Walk live donors from the cheapest ψ upward (paper line 9's reverse
+      // iteration); stop once donors are no cheaper than the grower. Every
+      // live donor is a transfer, since eAdd > tol here.
+      for (std::int64_t q = live.prevBelow(numPairs);
+           q > static_cast<std::int64_t>(p) && eAdd > options.tol;
+           q = live.prevBelow(static_cast<std::uint32_t>(q))) {
+        const Pair& shrink = pairs[static_cast<std::size_t>(q)];
         if (shrink.psi >= grow.psi - kPsiTol) break;
         const double tShrink = schedule.at(shrink.task, shrink.machine);
-        if (tShrink <= 1e-12) continue;
         const Machine& ms = inst.machine(shrink.machine);
-        const double fj2 = flops[static_cast<std::size_t>(shrink.task)];
-        const double usedInSeg =
-            std::clamp(fj2 - shrink.fLo, 0.0, shrink.fHi - shrink.fLo);
-        if (usedInSeg <= 1e-12) continue;
-        const double eSub =
-            std::min(usedInSeg / ms.efficiency, tShrink * ms.power());
-        const double eTransfer = std::min(eAdd, eSub);
-        if (eTransfer <= options.tol) continue;
+        const double eTransfer = std::min(eAdd, donorEnergy(shrink));
+        DSCT_DCHECK(eTransfer > options.tol);
 
         schedule.add(grow.task, grow.machine, eTransfer / mr.power());
         flops[static_cast<std::size_t>(grow.task)] +=
@@ -122,6 +232,8 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
                      std::max(0.0, tShrink - eTransfer / ms.power()));
         flops[static_cast<std::size_t>(shrink.task)] -=
             eTransfer * ms.efficiency;
+        retest(grow.task);
+        if (shrink.task != grow.task) retest(shrink.task);
 
         slackEngine.onTransfer(grow.machine, shrink.machine);
         if (caps != nullptr) {

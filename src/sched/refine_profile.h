@@ -42,6 +42,13 @@ struct RefineStats {
   long transfers = 0;
   double energyMoved = 0.0;  ///< total Joules re-allocated
   SlackCounters slack;       ///< slack-engine cache behaviour
+
+  void add(const RefineStats& other) {
+    rounds += other.rounds;
+    transfers += other.transfers;
+    energyMoved += other.energyMoved;
+    slack.add(other.slack);
+  }
 };
 
 /// Refines `schedule` in place. Total energy consumption never increases;

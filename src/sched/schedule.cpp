@@ -15,13 +15,6 @@ FractionalSchedule::FractionalSchedule(int numTasks, int numMachines)
   DSCT_CHECK(numMachines > 0);
 }
 
-std::size_t FractionalSchedule::index(int j, int r) const {
-  DSCT_DCHECK(j >= 0 && j < n_);
-  DSCT_DCHECK(r >= 0 && r < m_);
-  return static_cast<std::size_t>(j) * static_cast<std::size_t>(m_) +
-         static_cast<std::size_t>(r);
-}
-
 void FractionalSchedule::set(int j, int r, double seconds) {
   DSCT_CHECK_MSG(seconds >= -1e-9, "negative processing time " << seconds);
   t_[index(j, r)] = std::max(0.0, seconds);

@@ -2,9 +2,11 @@
 // DSCT-EA-FR relaxation) and integral (one machine per task, DSCT-EA).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "sched/types.h"
+#include "util/check.h"
 
 namespace dsct {
 
@@ -36,7 +38,13 @@ class FractionalSchedule {
   double prefixTime(int j, int r) const;
 
  private:
-  std::size_t index(int j, int r) const;
+  /// Row-major: task j's m machine entries are contiguous.
+  std::size_t index(int j, int r) const {
+    DSCT_DCHECK(j >= 0 && j < n_);
+    DSCT_DCHECK(r >= 0 && r < m_);
+    return static_cast<std::size_t>(j) * static_cast<std::size_t>(m_) +
+           static_cast<std::size_t>(r);
+  }
 
   int n_;
   int m_;

@@ -40,6 +40,13 @@ struct SlackCounters {
   long long hits = 0;           ///< served from the (task, machine) memo
   long long rebuilds = 0;       ///< per-machine column recomputations
   long long invalidations = 0;  ///< machine version bumps (2 per transfer)
+
+  void add(const SlackCounters& other) {
+    queries += other.queries;
+    hits += other.hits;
+    rebuilds += other.rebuilds;
+    invalidations += other.invalidations;
+  }
 };
 
 class SlackEngine {

@@ -14,30 +14,6 @@ namespace dsct::shard {
 
 namespace {
 
-void addCounters(FrOptCounters& into, const FrOptCounters& from) {
-  into.evaluations += from.evaluations;
-  into.cacheHits += from.cacheHits;
-  into.scheduleSolves += from.scheduleSolves;
-  into.directionLpSolves += from.directionLpSolves;
-  into.outerRounds += from.outerRounds;
-  into.pairMoves += from.pairMoves;
-  into.directionSteps += from.directionSteps;
-  into.expandSeconds += from.expandSeconds;
-  into.refineSeconds += from.refineSeconds;
-  into.pairSeconds += from.pairSeconds;
-  into.directionSeconds += from.directionSeconds;
-  into.totalSeconds += from.totalSeconds;
-  into.slackQueries += from.slackQueries;
-  into.slackHits += from.slackHits;
-  into.slackRebuilds += from.slackRebuilds;
-  into.slackInvalidations += from.slackInvalidations;
-  into.crossHits += from.crossHits;
-  into.crossMisses += from.crossMisses;
-  into.crossInvalidations += from.crossInvalidations;
-  into.crossContended += from.crossContended;
-  into.crossShards += from.crossShards;
-}
-
 /// One cell's static slice of the global instance.
 struct Cell {
   std::vector<int> machines;  ///< global machine indices, ascending
@@ -339,7 +315,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
     if (!outcomes[c].schedule.has_value()) allIntegral = false;
     if (outcomes[c].fractional.has_value()) anyFractional = true;
     merged.upperBound += outcomes[c].upperBound;
-    addCounters(merged.counters, outcomes[c].counters);
+    merged.counters.add(outcomes[c].counters);
     merged.lpCounters.add(outcomes[c].lpCounters);
   }
   if (allIntegral) {

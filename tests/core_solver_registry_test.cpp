@@ -211,8 +211,12 @@ TEST(SolverRegistry, CapabilitiesDescribeOutputs) {
     const Instance inst = corpusInstance(kSeed, 1);
     const SolveOutcome outcome = solver->solve(inst, context);
     if (!outcome.solved()) continue;
-    if (outcome.schedule.has_value()) EXPECT_TRUE(caps.integral);
-    if (outcome.fractional.has_value()) EXPECT_TRUE(caps.fractional);
+    if (outcome.schedule.has_value()) {
+      EXPECT_TRUE(caps.integral);
+    }
+    if (outcome.fractional.has_value()) {
+      EXPECT_TRUE(caps.fractional);
+    }
   }
 }
 

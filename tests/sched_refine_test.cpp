@@ -1,18 +1,26 @@
 // Dedicated tests for RefineProfile (Algorithm 3) and solveForProfile (the
-// generalised Algorithm 2 core).
+// generalised Algorithm 2 core), plus the differential that pins the
+// live-donor walk to the linear-scan reference.
 #include "sched/refine_profile.h"
+
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sched/fr_opt.h"
 #include "sched/naive_solution.h"
 #include "sched/validator.h"
+#include "tests/refine_linear_scan_reference.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 
 namespace dsct {
 namespace {
 
+using testing::corpusInstance;
 using testing::randomInstance;
 using testing::twoSegment;
 
@@ -130,6 +138,140 @@ TEST(RefineProfile, RoundsBounded) {
   options.maxRounds = 3;
   const RefineStats stats = refineProfile(inst, naive.schedule, options);
   EXPECT_LE(stats.rounds, 3);
+}
+
+// --- Live donors vs the linear scan ----------------------------------------
+// refineProfile walks only the pairs that can donate (DESIGN.md §19); the
+// reference walks every lower-ψ pair. Both must take the same transfers in
+// the same order, so every t_jr and every RefineStats field agrees bit for
+// bit. The naive start alone transfers rarely on the corpus, so two
+// randomised starts supply the transfer volume.
+
+/// Start 0: the naive solution. Start 1: the naive solution with every t_jr
+/// scaled by U(0, 1), which frees energy and leaves partly used segments on
+/// every machine. Start 2: solveForProfile at a random profile.
+FractionalSchedule refineStart(const Instance& inst, int start, Rng& rng) {
+  if (start == 2) {
+    EnergyProfile profile;
+    for (int r = 0; r < inst.numMachines(); ++r) {
+      profile.push_back(rng.uniform(0.0, inst.maxDeadline()));
+    }
+    return solveForProfile(inst, profile);
+  }
+  FractionalSchedule schedule = computeNaiveSolution(inst).schedule;
+  if (start == 1) {
+    for (int j = 0; j < inst.numTasks(); ++j) {
+      for (int r = 0; r < inst.numMachines(); ++r) {
+        schedule.set(j, r, schedule.at(j, r) * rng.uniform(0.0, 1.0));
+      }
+    }
+  }
+  return schedule;
+}
+
+/// Per-machine caps around the start's energy draw: some machines sit at or
+/// above their cap (growth there is blocked), others have headroom.
+std::vector<double> capsAround(const Instance& inst,
+                               const FractionalSchedule& schedule, Rng& rng) {
+  std::vector<double> caps;
+  for (int r = 0; r < inst.numMachines(); ++r) {
+    const double draw = schedule.machineLoad(r) * inst.machine(r).power();
+    caps.push_back(rng.uniform(0.8, 1.3) * draw +
+                   rng.uniform(0.0, 0.1) * inst.energyBudget() /
+                       inst.numMachines());
+  }
+  return caps;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Refines `initial` with both implementations, with and without `caps`, in
+/// both slack modes, and expects identical results. Returns the transfers of
+/// the incremental runs (the scratch runs repeat their trajectories).
+long long expectMatchesLinearScan(const Instance& inst,
+                                  const FractionalSchedule& initial,
+                                  const std::vector<double>& caps) {
+  long long transfers = 0;
+  for (const bool capped : {false, true}) {
+    for (const bool incremental : {true, false}) {
+      SCOPED_TRACE(std::string(capped ? "capped" : "uncapped") +
+                   (incremental ? ", incremental" : ", scratch"));
+      RefineOptions options;
+      options.incrementalSlack = incremental;
+      if (capped) options.machineEnergyCaps = &caps;
+      FractionalSchedule live = initial;
+      FractionalSchedule oracle = initial;
+      const RefineStats got = refineProfile(inst, live, options);
+      const RefineStats want =
+          testing::refineProfileLinearScan(inst, oracle, options);
+
+      EXPECT_EQ(got.rounds, want.rounds);
+      EXPECT_EQ(got.transfers, want.transfers);
+      EXPECT_EQ(bits(got.energyMoved), bits(want.energyMoved));
+      EXPECT_EQ(got.slack.queries, want.slack.queries);
+      EXPECT_EQ(got.slack.hits, want.slack.hits);
+      EXPECT_EQ(got.slack.rebuilds, want.slack.rebuilds);
+      EXPECT_EQ(got.slack.invalidations, want.slack.invalidations);
+      int mismatches = 0;
+      for (int j = 0; j < inst.numTasks(); ++j) {
+        for (int r = 0; r < inst.numMachines(); ++r) {
+          if (bits(live.at(j, r)) != bits(oracle.at(j, r)) &&
+              mismatches++ == 0) {
+            ADD_FAILURE() << "t[" << j << "," << r << "]: " << live.at(j, r)
+                          << " vs " << oracle.at(j, r);
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0);
+      if (incremental) transfers += want.transfers;
+    }
+  }
+  return transfers;
+}
+
+TEST(RefineLiveDonors, BitIdenticalToLinearScanOverCorpus) {
+  constexpr int kSeeds = 120;
+  long long transfers = 0;
+  for (int c = 0; c < kSeeds; ++c) {
+    const Instance inst =
+        corpusInstance(deriveSeed(20261017u, static_cast<std::uint64_t>(c)),
+                       c);
+    Rng rng(deriveSeed(4242u, static_cast<std::uint64_t>(c)));
+    for (int start = 0; start < 3; ++start) {
+      SCOPED_TRACE("case " + std::to_string(c) + " start " +
+                   std::to_string(start));
+      const FractionalSchedule initial = refineStart(inst, start, rng);
+      const std::vector<double> caps = capsAround(inst, initial, rng);
+      transfers += expectMatchesLinearScan(inst, initial, caps);
+    }
+  }
+  // A corpus on which refine idles would make the differential vacuous.
+  EXPECT_GE(transfers, 1000);
+}
+
+TEST(RefineLiveDonors, BitIdenticalWithAThreeLevelLiveSet) {
+  // The corpus stays under 64² pairs, where the live set has two bitset
+  // levels; these instances need a third.
+  long long transfers = 0;
+  for (int trial = 0; trial < 2; ++trial) {
+    const Instance inst = randomInstance(
+        deriveSeed(5150u, static_cast<std::uint64_t>(trial)), 120, 8, 0.1,
+        0.3, 0.1, 4.9);
+    int pairs = 0;
+    for (int j = 0; j < inst.numTasks(); ++j) {
+      pairs += inst.task(j).accuracy.numSegments() * inst.numMachines();
+    }
+    ASSERT_GE(pairs, 64 * 64);
+    Rng rng(deriveSeed(5151u, static_cast<std::uint64_t>(trial)));
+    for (int start = 0; start < 3; ++start) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " start " +
+                   std::to_string(start));
+      const FractionalSchedule initial = refineStart(inst, start, rng);
+      const std::vector<double> caps = capsAround(inst, initial, rng);
+      transfers += expectMatchesLinearScan(inst, initial, caps);
+    }
+  }
+  EXPECT_GT(transfers, 0);
 }
 
 }  // namespace

@@ -118,9 +118,13 @@ void expectStatsEqual(const sim::ServingStats& a, const sim::ServingStats& b) {
 Instance tinyInstance() {
   std::vector<Task> tasks;
   for (int i = 0; i < 3; ++i) {
+    // Appending avoids a libstdc++ -Wrestrict false positive that GCC 12
+    // reports for `"t" + std::to_string(i)`.
+    std::string name = "t";
+    name += std::to_string(i);
     tasks.push_back(Task{1.0 + 0.25 * i,
                          makePaperAccuracy(1e-3, 0.82, 0.5 + 0.3 * i, 5),
-                         "t" + std::to_string(i)});
+                         std::move(name)});
   }
   return Instance(std::move(tasks), machinesFromCatalog({"T4", "V100"}), 20.0);
 }

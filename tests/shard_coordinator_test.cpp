@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/solver_registry.h"
+#include "sched/profile_cache.h"
 #include "tests/test_support.h"
 #include "util/thread_pool.h"
 
@@ -141,6 +142,19 @@ TEST(ShardCoordinator, CrossEpochCellCachesPersist) {
   // (crossHits counts shared-cache traffic; cacheHits is solve-local).
   EXPECT_EQ(second.totalAccuracy, first.totalAccuracy);
   EXPECT_GT(second.counters.crossHits, first.counters.crossHits);
+}
+
+TEST(ShardCoordinator, CrossShardsCountsOneCacheNotTheirSum) {
+  // crossShards is the shard count of a cache, not traffic: K cells with
+  // one ProfileCache each still report a single cache's count.
+  const Instance inst = testing::randomInstance(41, 30, 6, 0.35, 0.25);
+  ShardOptions options;
+  options.cells = 3;
+  ShardCoordinator coordinator(innerSolver(), options);
+  const SolveOutcome outcome = coordinator.solve(inst, SolveContext{});
+  ASSERT_EQ(coordinator.lastStats().cells, 3);
+  EXPECT_EQ(outcome.counters.crossShards,
+            static_cast<long long>(ProfileCache::kDefaultShards));
 }
 
 TEST(ShardedSolver, AdapterSurfacesInnerIdentity) {

@@ -204,8 +204,8 @@ TEST(LpDifferential, RandomGeneralLps) {
 // engine's retirement: a future revised-simplex change that shifts any
 // objective fails here directly, no second engine needed.
 //
-// Regenerate after an intentional numeric change with:
-//   DSCT_REGEN_LP_GOLDEN=1 ./solver_lp_differential_test \
+// Regenerate after an intentional numeric change with (one command):
+//   DSCT_REGEN_LP_GOLDEN=1 ./solver_lp_differential_test
 //     --gtest_filter='*CorpusGoldenObjectives*'
 
 struct GoldenObjective {

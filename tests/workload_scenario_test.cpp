@@ -636,7 +636,9 @@ TEST(ArrivalProcesses, MmppIsDeterministicAndWithinHorizon) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_GE(a[i], 0.0);
     EXPECT_LT(a[i], 50.0);
-    if (i > 0) EXPECT_GE(a[i], a[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(a[i], a[i - 1]);
+    }
   }
   // Stationary mean rate (2·2 + 40·1) / 3 = 44/3 ≈ 14.67; the empirical
   // rate over a long horizon should land in the same ballpark.
