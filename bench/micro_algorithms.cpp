@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark) for the core algorithmic kernels:
-// Algorithm 1, ComputeNaiveSolution, RefineProfile, full FR-OPT, APPROX
-// rounding, and the simplex on the fractional LP.
+// Algorithm 1, one profile evaluation, ComputeNaiveSolution, RefineProfile,
+// full FR-OPT, APPROX rounding, and the simplex on the fractional LP.
 #include <benchmark/benchmark.h>
 
 #include "mipmodel/dsct_lp.h"
 #include "sched/approx.h"
+#include "sched/energy_profile.h"
 #include "sched/fr_opt.h"
 #include "sched/naive_solution.h"
+#include "sched/profile_evaluator.h"
 #include "sched/single_machine.h"
 #include "solver/simplex.h"
 #include "workload/generator.h"
@@ -32,6 +34,34 @@ void BM_SingleMachine(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SingleMachine)->Range(16, 1024)->Complexity();
+
+// One ProfileEvaluator::evaluate (temporary deadlines, Algorithm 1, Σ a_j)
+// at the naive profile, the call the pair and direction searches repeat
+// thousands of times per solve. At β = 0.005 the budget binds, so Algorithm 1
+// saturates the machine and stops early; BM_SingleMachine is deadline-bound
+// and never does. The counters give the segment count and how many of them
+// one evaluation scans.
+void BM_ProfileEvaluate(benchmark::State& state) {
+  ScenarioSpec spec;
+  spec.numTasks = static_cast<int>(state.range(0));
+  spec.numMachines = static_cast<int>(state.range(1));
+  spec.rho = 0.35;
+  spec.beta = 0.005;
+  const Instance inst = makeScenario(spec, 0.1, 4.9, 42);
+  const EnergyProfile profile = naiveProfile(inst);
+  const ProfileEvaluator evaluator(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator.evaluate(profile));
+  }
+  std::vector<SegmentJob> segments = makeSegmentJobs(inst.tasks());
+  sortSegmentJobs(segments);
+  std::size_t scanned = 0;
+  scheduleSingleMachineSorted(temporaryDeadlines(inst, profile), 1.0,
+                              segments, &scanned);
+  state.counters["segments"] = static_cast<double>(segments.size());
+  state.counters["scanned"] = static_cast<double>(scanned);
+}
+BENCHMARK(BM_ProfileEvaluate)->Args({1000, 16})->Args({5000, 32});
 
 void BM_NaiveSolution(benchmark::State& state) {
   const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)), 5);

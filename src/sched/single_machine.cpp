@@ -35,9 +35,10 @@ void sortSegmentJobs(std::vector<SegmentJob>& segments) {
 
 std::vector<double> scheduleSingleMachineSorted(
     std::span<const double> deadlines, double speed,
-    std::span<const SegmentJob> sortedSegments) {
-  const int n = static_cast<int>(deadlines.size());
-  std::vector<double> t(static_cast<std::size_t>(n), 0.0);
+    std::span<const SegmentJob> sortedSegments, std::size_t* scanned) {
+  const std::size_t n = deadlines.size();
+  std::vector<double> t(n, 0.0);
+  if (scanned != nullptr) *scanned = 0;
   if (n == 0) return t;
 
   // slack_i = d_i − prefix_i; a segment of task j may grow t_j by
@@ -45,18 +46,28 @@ std::vector<double> scheduleSingleMachineSorted(
   // itself), after which every slack at or after j shrinks by the grant.
   SuffixSlackTree slack(deadlines);
 
-  for (const SegmentJob& seg : sortedSegments) {
+  std::size_t k = 0;
+  while (k < sortedSegments.size()) {
+    const SegmentJob& seg = sortedSegments[k++];
     // Zero-slope segments add no accuracy; granting them slack only inflates
     // energy and (for flattened comm-starved tasks) invents phantom work.
     // They sort last, so skipping them cannot change any other allocation.
     if (seg.slope <= 0.0) continue;
     const std::size_t j = static_cast<std::size_t>(seg.task);
+    const double room = slack.suffixMin(j);
     const double contribution =
-        std::max(0.0, std::min(seg.flops / speed, slack.suffixMin(j)));
+        std::max(0.0, std::min(seg.flops / speed, room));
     if (contribution <= 0.0) continue;
     t[j] += contribution;
     slack.suffixAdd(j, -contribution);
+    // Saturation exit. Every suffix minimum includes the last task's slack,
+    // and rounding is monotone, so once that slack is <= 0 every later query
+    // returns <= 0 and every later segment would be granted nothing. A grant
+    // smaller than its room leaves slack behind, so only slack-limited grants
+    // pay for the check; a missed exit would cost time, never a result.
+    if (contribution == room && slack.suffixMin(n - 1) <= 0.0) break;
   }
+  if (scanned != nullptr) *scanned = k;
   return t;
 }
 

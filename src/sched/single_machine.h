@@ -5,9 +5,12 @@
 // each segment receives as much processing time as the prefix deadline
 // constraints of the task and all later tasks allow. A lazy segment tree
 // over the suffix slacks d_i − prefix_i makes each grant O(log n), so the
-// whole pass is O(S log n) for S segments.
+// whole pass is O(S log n) for S segments. The pass ends as soon as the last
+// task's slack is exhausted: every later segment could only be granted zero
+// (DESIGN.md §20), and on budget-bound profiles that is often most of them.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -41,10 +44,13 @@ std::vector<double> scheduleSingleMachine(std::span<const double> deadlines,
 
 /// Core of Algorithm 1 for callers that keep a pre-sorted segment list
 /// (see sortSegmentJobs); skips validation and the per-call sort, so
-/// repeated profile evaluations pay only the water-filling pass.
+/// repeated profile evaluations pay only the water-filling pass. The pass
+/// stops early once the machine is saturated; `scanned`, when given,
+/// receives how many segments it examined.
 std::vector<double> scheduleSingleMachineSorted(
     std::span<const double> deadlines, double speed,
-    std::span<const SegmentJob> sortedSegments);
+    std::span<const SegmentJob> sortedSegments,
+    std::size_t* scanned = nullptr);
 
 /// Convenience overload operating directly on an instance's tasks
 /// (single machine, ignoring energy).

@@ -3,6 +3,13 @@
 // add. Granting `c` seconds to task j shrinks every slack at or after j by
 // `c`, so Algorithm 1's inner loops become O(log n) instead of O(n).
 //
+// Both operations walk bottom-up over one interleaved {min, add} node array:
+// no recursion, and the two fields a step reads sit in one cache line. They
+// touch the same canonical nodes of [j, n) as a top-down recursive tree, and
+// a query applies each node's ancestor adds in the same order, so it returns
+// the recursive tree's double bit for bit (DESIGN.md §20; the recursive tree
+// is kept as the test oracle).
+//
 // Shared between Algorithm 1 (single_machine.cpp, which uses the lazy
 // suffixAdd path) and RefineProfile's incremental slack engine
 // (slack_engine.cpp, which only rebuilds via assign() and queries — min over
@@ -28,65 +35,80 @@ class SuffixSlackTree {
   /// over the given leaves.
   void assign(std::span<const double> initial) {
     n_ = initial.size();
-    std::size_t size = 1;
-    while (size < std::max<std::size_t>(1, n_)) size <<= 1;
-    if (size != size_ || min_.empty()) {
-      size_ = size;
-      min_.assign(2 * size_, std::numeric_limits<double>::infinity());
-      add_.assign(2 * size_, 0.0);
-    } else {
-      std::fill(min_.begin(), min_.end(),
-                std::numeric_limits<double>::infinity());
-      std::fill(add_.begin(), add_.end(), 0.0);
-    }
-    for (std::size_t i = 0; i < n_; ++i) min_[size_ + i] = initial[i];
+    size_ = 1;
+    while (size_ < n_) size_ <<= 1;
+    nodes_.assign(2 * size_, Node{kInf, 0.0});
+    for (std::size_t i = 0; i < n_; ++i) nodes_[size_ + i].min = initial[i];
     for (std::size_t i = size_ - 1; i >= 1; --i) {
-      min_[i] = std::min(min_[2 * i], min_[2 * i + 1]);
+      nodes_[i].min = std::min(nodes_[2 * i].min, nodes_[2 * i + 1].min);
     }
   }
 
   /// min_{i >= j} v_i (infinity for j >= n).
   double suffixMin(std::size_t j) const {
-    if (j >= n_) return std::numeric_limits<double>::infinity();
-    return rangeMin(1, 0, size_, j, n_);
+    if (j >= n_) return kInf;
+    // Canonical nodes of [j, n) taken on the left sit below node l − 1, those
+    // taken on the right below node r; each side's minimum already carries
+    // the adds of every ancestor climbed so far. The right end stays n: the
+    // first node read past the leaves is (n + size) / 2 <= size.
+    std::size_t l = j + size_;
+    std::size_t r = n_ + size_;
+    double left = kInf;
+    double right = kInf;
+    while (l < r) {
+      if (l & 1) left = std::min(left, total(l++));
+      if (r & 1) right = std::min(right, total(--r));
+      l >>= 1;
+      r >>= 1;
+      left += nodes_[l - 1].add;
+      right += nodes_[r].add;
+    }
+    // Now l == r. Climb l − 1 and l until they are siblings, then fold the
+    // two sides and add the shared ancestors up to the root. (Node 0 is not a
+    // tree node; its add stays 0, read only while the left side is empty.)
+    std::size_t a = l - 1;
+    std::size_t b = r;
+    while ((a >> 1) != (b >> 1)) {
+      a >>= 1;
+      b >>= 1;
+      left += nodes_[a].add;
+      right += nodes_[b].add;
+    }
+    double best = std::min(left, right);
+    for (std::size_t p = b >> 1; p != 0; p >>= 1) best += nodes_[p].add;
+    return best;
   }
 
   /// v_i += delta for all i >= j.
   void suffixAdd(std::size_t j, double delta) {
     if (j >= n_) return;
-    rangeAdd(1, 0, size_, j, n_, delta);
+    for (std::size_t l = j + size_, r = n_ + size_; l < r; l >>= 1, r >>= 1) {
+      if (l & 1) nodes_[l++].add += delta;
+      if (r & 1) nodes_[--r].add += delta;
+    }
+    // Re-pull the ancestors of leaf j. Every other ancestor of a node that
+    // took the add straddles n: it is never a canonical node of a suffix, so
+    // no query reads its (now stale) minimum, and it never holds an add.
+    for (std::size_t p = (j + size_) >> 1; p != 0; p >>= 1) pull(p);
   }
 
  private:
-  double rangeMin(std::size_t node, std::size_t lo, std::size_t hi,
-                  std::size_t ql, std::size_t qr) const {
-    if (qr <= lo || hi <= ql) {
-      return std::numeric_limits<double>::infinity();
-    }
-    if (ql <= lo && hi <= qr) return min_[node] + add_[node];
-    const std::size_t mid = (lo + hi) / 2;
-    return add_[node] + std::min(rangeMin(2 * node, lo, mid, ql, qr),
-                                 rangeMin(2 * node + 1, mid, hi, ql, qr));
-  }
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  void rangeAdd(std::size_t node, std::size_t lo, std::size_t hi,
-                std::size_t ql, std::size_t qr, double delta) {
-    if (qr <= lo || hi <= ql) return;
-    if (ql <= lo && hi <= qr) {
-      add_[node] += delta;
-      return;
-    }
-    const std::size_t mid = (lo + hi) / 2;
-    rangeAdd(2 * node, lo, mid, ql, qr, delta);
-    rangeAdd(2 * node + 1, mid, hi, ql, qr, delta);
-    min_[node] = std::min(min_[2 * node] + add_[2 * node],
-                          min_[2 * node + 1] + add_[2 * node + 1]);
+  struct Node {
+    double min;  ///< subtree minimum, excluding this node's add
+    double add;  ///< pending uniform add for the whole subtree
+  };
+
+  double total(std::size_t p) const { return nodes_[p].min + nodes_[p].add; }
+
+  void pull(std::size_t p) {
+    nodes_[p].min = std::min(total(2 * p), total(2 * p + 1));
   }
 
   std::size_t n_ = 0;
   std::size_t size_ = 0;
-  std::vector<double> min_;  ///< subtree minimum, excluding this node's add
-  std::vector<double> add_;  ///< pending uniform add for the whole subtree
+  std::vector<Node> nodes_;  ///< 1-based heap order; leaves at [size, 2·size)
 };
 
 }  // namespace dsct

@@ -1,12 +1,21 @@
 #include "sched/single_machine.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mipmodel/dsct_lp.h"
+#include "sched/energy_profile.h"
+#include "sched/naive_solution.h"
+#include "sched/suffix_slack_tree.h"
 #include "solver/simplex.h"
+#include "tests/suffix_slack_tree_reference.h"
 #include "tests/test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -170,6 +179,111 @@ TEST_P(SingleMachineVsLp, MatchesLpOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SingleMachineVsLp,
                          ::testing::Range(0, 30));
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The iterative tree against the recursive oracle: random assign/suffixAdd
+// sequences over every n in 1..70 (powers of two, their neighbours and
+// everything between), with every suffix query compared bit for bit after
+// every operation. One tree pair serves all sizes, so assign() also runs
+// across size changes.
+TEST(SuffixSlackTreeExact, MatchesRecursiveTreeBitForBit) {
+  Rng rng(20261017u);
+  SuffixSlackTree tree;
+  testing::RecursiveSuffixSlackTree oracle;
+  long long comparisons = 0;
+  long long mismatches = 0;
+  // Magnitudes spread over nine decades so adds at different nodes round
+  // differently; a few exact zeros and repeats make ties.
+  auto draw = [&rng] {
+    if (rng.bernoulli(0.05)) return 0.0;
+    return rng.uniform(-0.2, 1.0) * std::pow(10.0, rng.uniformInt(-4, 4));
+  };
+  for (std::size_t n = 1; n <= 70; ++n) {
+    for (int op = 0; op < 420; ++op) {
+      std::string what;
+      if (op % 70 == 0) {
+        std::vector<double> leaves(n);
+        for (double& v : leaves) v = rng.bernoulli(0.1) ? 1.5 : draw();
+        tree.assign(leaves);
+        oracle.assign(leaves);
+        what = "assign";
+      } else {
+        // j == n is the no-op edge. One add in three takes exactly the
+        // current suffix minimum, as Algorithm 1's slack-limited grants do.
+        const std::size_t j =
+            static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(n)));
+        const double delta =
+            rng.uniformInt(0, 2) == 0 ? -oracle.suffixMin(j) : -draw();
+        if (!std::isfinite(delta)) continue;
+        tree.suffixAdd(j, delta);
+        oracle.suffixAdd(j, delta);
+        what = "suffixAdd(" + std::to_string(j) + ")";
+      }
+      for (std::size_t q = 0; q <= n; ++q) {
+        ++comparisons;
+        const double got = tree.suffixMin(q);
+        const double want = oracle.suffixMin(q);
+        if (bits(got) != bits(want) && mismatches++ == 0) {
+          ADD_FAILURE() << "n " << n << " op " << op << " after " << what
+                        << ": suffixMin(" << q << ") = " << got
+                        << ", recursive tree " << want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GE(comparisons, 1'000'000);
+}
+
+// The saturation exit against the full scan: Algorithm 1 on the temporary
+// deadlines of four profiles per corpus instance — the naive profile, a
+// random U(0, 1)·d_max profile, and both of them scaled by 0.1, which makes
+// the budget bind. Every t_j must match the reference loop (recursive tree,
+// no exit) bit for bit, and on at least half the calls the exit must have
+// fired with positive-slope segments still unscanned, so the test cannot
+// pass on a corpus where the exit never matters.
+TEST(Alg1SaturationExit, BitIdenticalToFullScanOverCorpus) {
+  constexpr int kSeeds = 120;
+  int calls = 0;
+  int exits = 0;
+  for (int c = 0; c < kSeeds; ++c) {
+    const Instance inst = testing::corpusInstance(
+        deriveSeed(20261017u, static_cast<std::uint64_t>(c)), c);
+    std::vector<SegmentJob> segments = makeSegmentJobs(inst.tasks());
+    sortSegmentJobs(segments);
+    Rng rng(deriveSeed(1717u, static_cast<std::uint64_t>(c)));
+    const EnergyProfile naive = naiveProfile(inst);
+    EnergyProfile random(naive.size());
+    for (double& p : random) p = rng.uniform(0.0, 1.0) * inst.maxDeadline();
+    std::vector<EnergyProfile> profiles{naive, random, naive, random};
+    for (std::size_t p = 2; p < profiles.size(); ++p) {
+      for (double& v : profiles[p]) v *= 0.1;
+    }
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+      SCOPED_TRACE("case " + std::to_string(c) + " profile " +
+                   std::to_string(p));
+      const std::vector<double> temp = temporaryDeadlines(inst, profiles[p]);
+      std::size_t scanned = 0;
+      const std::vector<double> t =
+          scheduleSingleMachineSorted(temp, 1.0, segments, &scanned);
+      const std::vector<double> want =
+          testing::scheduleSingleMachineReference(temp, 1.0, segments);
+      ASSERT_EQ(t.size(), want.size());
+      for (std::size_t j = 0; j < t.size(); ++j) {
+        EXPECT_EQ(bits(t[j]), bits(want[j])) << "task " << j;
+      }
+      ASSERT_LE(scanned, segments.size());
+      ++calls;
+      if (std::any_of(segments.begin() + static_cast<std::ptrdiff_t>(scanned),
+                      segments.end(),
+                      [](const SegmentJob& s) { return s.slope > 0.0; })) {
+        ++exits;
+      }
+    }
+  }
+  EXPECT_GE(2 * exits, calls) << exits << " exits in " << calls << " calls";
+}
 
 }  // namespace
 }  // namespace dsct
