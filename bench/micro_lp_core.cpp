@@ -1,15 +1,12 @@
-// micro_lp_core: the LP engine head-to-head — dense tableau vs sparse
-// revised simplex vs warm-started revised simplex.
+// micro_lp_core: the sparse revised simplex, cold and warm-started.
 //
 // Sweeps the fractional DSCT LP over batch sizes (m = 4 machines; LP
-// columns = n·m structurals + n accuracy variables) and times each engine
-// on the same model. The dense reference runs under a wall-clock cap so
-// large sizes stay tractable — a capped run reports its cap as a lower
-// bound on the true time (speedup is then also a lower bound). The warm
-// section replays a perturbed-budget epoch from the previous optimal basis
-// and reports the pivot work the warm start eliminates (the CSV splits out
-// phase-1 pivots; for the DSCT LP family the cold all-logical start is
-// already feasible, so phase 1 is empty and the saving is all phase 2).
+// columns = n·m structurals + n accuracy variables) and times a cold solve
+// of each model. The warm section replays a perturbed-budget epoch from the
+// previous optimal basis and reports the pivot work the warm start
+// eliminates (the CSV splits out phase-1 pivots; for the DSCT LP family the
+// cold all-logical start is already feasible, so phase 1 is empty and the
+// saving is all phase 2).
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -38,22 +35,17 @@ dsct::Instance benchInstance(int n, int m) {
 
 struct EngineRun {
   double seconds = 0.0;
-  bool finished = false;  ///< false: hit the wall-clock cap (lower bound)
   dsct::lp::LpResult result;
 };
 
-EngineRun timedSolve(const dsct::lp::Model& model, dsct::lp::LpEngine engine,
-                     double capSeconds,
+EngineRun timedSolve(const dsct::lp::Model& model,
                      const dsct::lp::LpBasis* warm = nullptr) {
   dsct::lp::LpOptions options;
-  options.engine = engine;
-  options.timeLimitSeconds = capSeconds;
   options.warmBasis = warm;
   dsct::Stopwatch watch;
   EngineRun run;
   run.result = dsct::lp::solveLp(model, options);
   run.seconds = watch.elapsedSeconds();
-  run.finished = run.result.status == dsct::lp::SolveStatus::kOptimal;
   return run;
 }
 
@@ -62,22 +54,17 @@ EngineRun timedSolve(const dsct::lp::Model& model, dsct::lp::LpEngine engine,
 int main() {
   using namespace dsct;
   bench::printHeader(
-      "micro_lp_core — dense vs sparse vs warm LP engines",
-      "engine replacement study (DESIGN.md §17); no direct paper figure");
+      "micro_lp_core — cold vs warm sparse LP solves",
+      "LP engine study (DESIGN.md §17); no direct paper figure");
 
   const int m = 4;
   std::vector<int> taskCounts = {10, 25, 50, 125, 250};
-  double denseCap = 20.0;
-  if (bench::fullScale()) {
-    taskCounts = {10, 25, 50, 125, 250, 500};
-    denseCap = 120.0;
-  }
+  if (bench::fullScale()) taskCounts = {10, 25, 50, 125, 250, 500};
 
-  Table table({"tasks", "cols", "rows", "dense (s)", "sparse (s)", "speedup",
-               "warm (s)", "pivots cold", "pivots warm"});
+  Table table({"tasks", "cols", "rows", "sparse (s)", "warm (s)",
+               "pivots cold", "pivots warm"});
   CsvWriter csv("micro_lp_core.csv",
-                {"tasks", "cols", "rows", "dense_seconds", "dense_finished",
-                 "sparse_seconds", "speedup", "warm_seconds",
+                {"tasks", "cols", "rows", "sparse_seconds", "warm_seconds",
                  "phase1_pivots_cold", "phase1_pivots_warm", "pivots_cold",
                  "pivots_warm", "warm_used"});
   Json jsonRows = Json::array();
@@ -86,36 +73,27 @@ int main() {
     const Instance inst = benchInstance(n, m);
     const DsctLp lp = buildFractionalLp(inst);
 
-    const EngineRun dense = timedSolve(lp.model, lp::LpEngine::kDense,
-                                       denseCap);
-    const EngineRun sparse = timedSolve(lp.model, lp::LpEngine::kRevised,
-                                        /*capSeconds=*/-1.0);
+    const EngineRun sparse = timedSolve(lp.model);
 
     // Warm replay: the same batch next epoch with a 15% tighter budget —
     // pure RHS drift, re-entered from this epoch's optimal basis.
     const Instance drifted =
         Instance(inst.tasks(), inst.machines(), inst.energyBudget() * 0.85);
     const DsctLp driftedLp = buildFractionalLp(drifted);
-    const EngineRun cold = timedSolve(driftedLp.model, lp::LpEngine::kRevised,
-                                      /*capSeconds=*/-1.0);
-    const EngineRun warm = timedSolve(driftedLp.model, lp::LpEngine::kRevised,
-                                      /*capSeconds=*/-1.0,
-                                      &sparse.result.basis);
+    const EngineRun cold = timedSolve(driftedLp.model);
+    const EngineRun warm = timedSolve(driftedLp.model, &sparse.result.basis);
 
-    const double speedup =
-        sparse.seconds > 0.0 ? dense.seconds / sparse.seconds : 0.0;
     table.addRow(std::vector<double>{
         static_cast<double>(n),
         static_cast<double>(lp.model.numVariables()),
-        static_cast<double>(lp.model.numConstraints()), dense.seconds,
-        sparse.seconds, speedup, warm.seconds,
-        static_cast<double>(cold.result.counters.pivots),
+        static_cast<double>(lp.model.numConstraints()), sparse.seconds,
+        warm.seconds, static_cast<double>(cold.result.counters.pivots),
         static_cast<double>(warm.result.counters.pivots)});
     csv.addRow(std::vector<double>{
         static_cast<double>(n),
         static_cast<double>(lp.model.numVariables()),
-        static_cast<double>(lp.model.numConstraints()), dense.seconds,
-        dense.finished ? 1.0 : 0.0, sparse.seconds, speedup, warm.seconds,
+        static_cast<double>(lp.model.numConstraints()), sparse.seconds,
+        warm.seconds,
         static_cast<double>(cold.result.counters.phase1Pivots),
         static_cast<double>(warm.result.counters.phase1Pivots),
         static_cast<double>(cold.result.counters.pivots),
@@ -125,10 +103,7 @@ int main() {
                       .set("tasks", n)
                       .set("cols", lp.model.numVariables())
                       .set("rows", lp.model.numConstraints())
-                      .set("dense_seconds", dense.seconds)
-                      .set("dense_finished", dense.finished)
                       .set("sparse_seconds", sparse.seconds)
-                      .set("speedup", speedup)
                       .set("warm_seconds", warm.seconds)
                       .set("phase1_pivots_cold",
                            static_cast<double>(cold.result.counters.phase1Pivots))
@@ -141,10 +116,6 @@ int main() {
                       .set("warm_used",
                            static_cast<double>(
                                warm.result.counters.warmStartsUsed)));
-    if (!dense.finished) {
-      std::cout << "  (n=" << n << ": dense hit the " << denseCap
-                << " s cap — its time and the speedup are lower bounds)\n";
-    }
   }
   table.print(std::cout);
   const Json report = Json::object()
@@ -157,10 +128,7 @@ int main() {
     return 1;
   }
   std::cout << "\nwrote BENCH_micro_lp_core.json\n";
-  std::cout << "\nmessage: CSC storage plus the eta-file basis inverse turns"
-               " the per-pivot cost from O(rows*cols) dense arithmetic into"
-               " work proportional to the column's nonzeros, and re-entering"
-               " from the previous epoch's basis removes the phase-1 climb"
-               " entirely on RHS-only drift.\n";
+  std::cout << "\nmessage: re-entering from the previous epoch's basis"
+               " removes the pivot climb on RHS-only drift.\n";
   return 0;
 }

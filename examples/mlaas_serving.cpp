@@ -4,6 +4,7 @@
 //
 //   $ ./mlaas_serving
 #include <iostream>
+#include <string>
 
 #include "dsct/dsct.h"
 
@@ -32,12 +33,11 @@ int main() {
 
   Table table({"policy", "requests", "served", "mean accuracy",
                "deadline misses", "energy (J)", "mean latency (s)"});
-  for (const sim::Policy policy :
-       {sim::Policy::kApprox, sim::Policy::kEdfNoCompression,
-        sim::Policy::kEdfLevels}) {
+  for (const std::string policy : {"approx", "edf", "edf3"}) {
     const sim::ServingStats stats =
         sim::runServing(machines, policy, options);
-    table.addRow({sim::toString(policy), std::to_string(stats.requests),
+    table.addRow({SolverRegistry::instance().resolve(policy).displayName(),
+                  std::to_string(stats.requests),
                   std::to_string(stats.served),
                   formatFixed(stats.meanAccuracy, 4),
                   std::to_string(stats.deadlineMisses),

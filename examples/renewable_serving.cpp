@@ -5,6 +5,7 @@
 //
 //   $ ./renewable_serving
 #include <iostream>
+#include <string>
 
 #include "dsct/dsct.h"
 
@@ -46,12 +47,10 @@ int main() {
 
   Table table({"policy", "served", "mean accuracy", "deadline misses",
                "energy used (J)"});
-  for (const sim::Policy policy :
-       {sim::Policy::kApprox, sim::Policy::kEdfNoCompression,
-        sim::Policy::kEdfLevels}) {
+  for (const std::string policy : {"approx", "edf", "edf3"}) {
     const sim::ServingStats stats =
-        sim::runServing(machines, policy, options, solar);
-    table.addRow({sim::toString(policy),
+        sim::runServing(machines, policy, options, &solar);
+    table.addRow({SolverRegistry::instance().resolve(policy).displayName(),
                   formatFixed(stats.served, 0) + "/" +
                       formatFixed(stats.requests, 0),
                   formatFixed(stats.meanAccuracy, 4),

@@ -46,7 +46,6 @@
 #include "sim/trace.h"
 #include "solver/mip.h"
 #include "solver/model.h"
-#include "solver/presolve.h"
 #include "solver/simplex.h"
 #include "util/stats.h"
 #include "util/table.h"

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,27 +24,8 @@
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace dsct::sim {
-
-const char* toString(Policy policy) {
-  switch (policy) {
-    case Policy::kApprox: return "DSCT-EA-Approx";
-    case Policy::kEdfNoCompression: return "EDF-NoCompression";
-    case Policy::kEdfLevels: return "EDF-3CompressionLevels";
-  }
-  return "unknown";
-}
-
-const char* policyName(Policy policy) {
-  switch (policy) {
-    case Policy::kApprox: return "approx";
-    case Policy::kEdfNoCompression: return "edf";
-    case Policy::kEdfLevels: return "edf3";
-  }
-  return "unknown";
-}
 
 const char* toString(IncidentKind kind) {
   switch (kind) {
@@ -65,6 +47,8 @@ const char* toString(IncidentKind kind) {
 
 namespace {
 
+constexpr double kUnlimited = std::numeric_limits<double>::infinity();
+
 /// Resolve a solver name for serving and enforce the integral capability —
 /// the executor needs a task→machine assignment, not a fractional profile.
 const Solver& resolveServingSolver(const std::string& name) {
@@ -75,16 +59,187 @@ const Solver& resolveServingSolver(const std::string& name) {
   return solver;
 }
 
-/// Shared driver core; `budgetFor(epochStart, epochEnd)` supplies each
-/// epoch's energy budget.
-ServingStats runServingImpl(
-    const std::vector<Machine>& machines, const std::string& policy,
-    const ServingOptions& options,
-    const std::function<double(double, double)>& budgetFor) {
+/// The generator path's request stream: the caller's arrival times or a
+/// Poisson process, then each request's deadline and θ drawn in arrival
+/// order. Admission consumes a prefix of the stream in order, so these are
+/// exactly the draws a driver drawing at admission time would make.
+std::vector<RequestSpec> generateRequests(const ServingOptions& options) {
+  Rng rng(options.seed);
+  std::vector<RequestSpec> stream;
+  if (options.arrivalTimes.empty()) {
+    const double rate = options.arrivalRatePerSecond;
+    for (double t = rng.exponential(rate); t < options.horizonSeconds;
+         t += rng.exponential(rate)) {
+      stream.push_back(RequestSpec{.arrival = t});
+    }
+  } else {
+    stream.reserve(options.arrivalTimes.size());
+    for (std::size_t i = 0; i < options.arrivalTimes.size(); ++i) {
+      DSCT_CHECK_MSG(
+          i == 0 || options.arrivalTimes[i - 1] <= options.arrivalTimes[i],
+          "arrivalTimes must be ascending");
+      stream.push_back(RequestSpec{.arrival = options.arrivalTimes[i]});
+    }
+  }
+  for (RequestSpec& spec : stream) {
+    spec.relDeadline =
+        rng.uniform(options.relDeadlineLo, options.relDeadlineHi);
+    spec.theta = rng.uniform(options.thetaLo, options.thetaHi);
+  }
+  return stream;
+}
+
+/// A request in flight. Without backlog carry-over a request lives for one
+/// epoch; with it, a request re-enters later batches with its residual
+/// accuracy function until its deadline passes or it is fully processed.
+/// Fault recovery reuses the same residual path: an interrupted request
+/// re-enters with its partial FLOPs until its retry budget runs out.
+struct Active {
+  double arrival;
+  double absoluteDeadline;
+  PiecewiseLinearAccuracy accuracy;  ///< the request's full curve
+  double flopsDone = 0.0;
+  double lastFinish = 0.0;  ///< absolute completion time of the last slice
+  int retryCount = 0;       ///< epochs in which this request was interrupted
+  bool interrupted = false; ///< interrupted in the current epoch
+  double missPenalty = 1.0; ///< SLA weight per missed deadline
+};
+
+/// One solved epoch, handed from the solve stage to execute(): the epoch
+/// instance and its schedule, the batch it serves, the batch slot behind
+/// each (deadline-sorted) instance task, and the fleet index behind each
+/// instance machine (empty when the whole fleet serves every epoch).
+struct EpochPlan {
+  long long epoch;
+  double epochStart;
+  double epochEnd;
+  Instance inst;
+  IntegralSchedule sched;
+  std::vector<Active> batch;
+  std::vector<std::size_t> order;
+  std::vector<int> fleet;
+};
+
+/// One scheduling attempt's solve: its context, the cancel token carrying
+/// the attempt's share of the epoch solve budget, and — for a primary
+/// submitted to the async pipeline — the future of its outcome. The
+/// in-flight solve references the context and token, so the destructor
+/// drains the future even when the epoch unwinds on an exception.
+struct AttemptSolve {
+  AttemptSolve() = default;
+  AttemptSolve(const AttemptSolve&) = delete;
+  AttemptSolve& operator=(const AttemptSolve&) = delete;
+  ~AttemptSolve() {
+    if (fut.valid()) fut.wait();
+  }
+
+  SolveContext ctx;
+  std::unique_ptr<CancelToken> token;
+  double start = 0.0;
+  double granted = kUnlimited;
+  std::future<SolveOutcome> fut;
+};
+
+/// One serving run. Each epoch runs the stages in order — admit, filter the
+/// fleet, shed, build the instance, set the budget, solve through the
+/// attempt chain, execute and retire — and each stage exists once
+/// (DESIGN.md §21).
+class ServingRun {
+ public:
+  ServingRun(const std::vector<Machine>& machines, const std::string& policy,
+             const ServingOptions& options, const PowerTrace* supply);
+  // The solve contexts point into the run's members.
+  ServingRun(const ServingRun&) = delete;
+  ServingRun& operator=(const ServingRun&) = delete;
+
+  ServingStats run();
+
+ private:
+  void admit(double epochEnd);
+  bool filterFleet(long long epoch, double epochStart, std::vector<int>& fleet,
+                   std::vector<Machine>& present);
+  void shed(long long epoch, std::size_t presentMachines);
+  double epochBudget(long long epoch, double epochStart, double epochEnd,
+                     const std::vector<int>& fleet);
+  void prepare(AttemptSolve& a, const Solver& solver, double start,
+               double granted);
+  IntegralSchedule schedule(const Instance& inst, long long epoch,
+                            std::optional<AttemptSolve>& async);
+  void execute(EpochPlan& plan);
+  std::vector<Active> retire(std::vector<Active> batch, double epochEnd);
+  void finalize(const Active& req);
+  void noteShard(long long epoch);
+  void incident(long long epoch, IncidentKind kind, double value = 0.0,
+                int depth = 0) {
+    stats_.incidents.push_back({epoch, kind, value, depth});
+  }
+  double now() const {
+    return options_.clock ? options_.clock() : steadyNowSeconds();
+  }
+
+  const std::vector<Machine>& machines_;
+  const ServingOptions& options_;
+  const PowerTrace* supply_;
+  /// The fallback chain (primary → validate → options.fallbackChain) and
+  /// the validator run only when some guard is active.
+  const bool guarded_;
+  /// An epoch solve budget is set (implies guarded_).
+  const bool limited_;
+  /// Async serving may defer an epoch's execution into the next epoch's
+  /// solve only when executing cannot change the next batch or budget:
+  /// backlog carry-over, faults, availability (battery drain) and admission
+  /// control all feed execution back into later epochs.
+  const bool overlap_;
+
+  std::vector<RequestSpec> generated_;  ///< generator path only
+  std::span<const RequestSpec> requests_;
+  std::size_t next_ = 0;  ///< next unadmitted request
+
+  FaultTrace faults_;
+  AvailabilityTrace avail_;
+  BatteryModel battery_;
+
+  const Solver* basePrimary_ = nullptr;
+  std::unique_ptr<shard::ShardedSolver> shardedPrimary_;
+  const Solver* primary_ = nullptr;
+  std::vector<const Solver*> chain_;
+
+  std::optional<ProfileCache> crossCache_;
+  std::unique_ptr<ThreadPool> solverPool_;
+  std::optional<LpWarmStartSlot> lpWarmSlot_;
+  SolveContext solveCtx_;
+  /// Per-epoch availability hints, refilled by the budget stage and handed
+  /// only to capability-gated solvers; a member so an async solve's context
+  /// can point at it.
+  AvailabilityHints epochHints_;
+  std::unique_ptr<AsyncSolvePipeline> pipeline_;
+
+  std::vector<Active> active_;  ///< requests in flight
+  std::optional<EpochPlan> pending_;  ///< overlap mode: awaiting execution
+  ServingStats stats_;
+  lp::LpCounters lpTotals_;
+  double accuracySum_ = 0.0;
+  double latencySum_ = 0.0;
+};
+
+ServingRun::ServingRun(const std::vector<Machine>& machines,
+                       const std::string& policy,
+                       const ServingOptions& options, const PowerTrace* supply)
+    : machines_(machines),
+      options_(options),
+      supply_(supply),
+      guarded_(options.faults.enabled || options.validateEpochs ||
+               options.epochTimeLimitSeconds > 0.0),
+      limited_(options.epochTimeLimitSeconds > 0.0),
+      overlap_(options.asyncServing && !options.carryBacklog &&
+               !options.faults.enabled && !options.availability.enabled &&
+               options.admissionLoadFactor <= 0.0) {
   DSCT_CHECK(!machines.empty());
   DSCT_CHECK(options.epochSeconds > 0.0);
-  const bool hasRequestTrace = !options.requestTrace.empty();
-  if (hasRequestTrace) {
+  DSCT_CHECK_MSG(std::isfinite(options.horizonSeconds),
+                 "horizonSeconds must be finite, got "
+                     << options.horizonSeconds);
+  if (!options.requestTrace.empty()) {
     DSCT_CHECK_MSG(options.arrivalTimes.empty(),
                    "requestTrace and arrivalTimes are mutually exclusive");
     for (std::size_t i = 0; i < options.requestTrace.size(); ++i) {
@@ -99,809 +254,582 @@ ServingStats runServingImpl(
                                    spec.arrival,
                      "requestTrace arrivals must be ascending");
     }
-  } else if (options.arrivalTimes.empty()) {
+    requests_ = options.requestTrace;
+  } else {
     // The rate feeds the Poisson generator only; an explicit arrival trace
     // makes it irrelevant and must not be rejected.
-    DSCT_CHECK_MSG(options.arrivalRatePerSecond > 0.0,
+    DSCT_CHECK_MSG(!options.arrivalTimes.empty() ||
+                       options.arrivalRatePerSecond > 0.0,
                    "arrivalRatePerSecond must be positive when no explicit "
                    "arrivalTimes are supplied");
+    generated_ = generateRequests(options);
+    requests_ = generated_;
   }
 
-  Rng rng(options.seed);
-  // Arrival stream: a fully specified request trace, caller-provided times,
-  // or a Poisson process.
-  std::vector<double> arrivalTimes = options.arrivalTimes;
-  if (hasRequestTrace) {
-    arrivalTimes.reserve(options.requestTrace.size());
-    for (const RequestSpec& spec : options.requestTrace) {
-      arrivalTimes.push_back(spec.arrival);
-    }
-  } else if (arrivalTimes.empty()) {
-    double t = rng.exponential(options.arrivalRatePerSecond);
-    while (t < options.horizonSeconds) {
-      arrivalTimes.push_back(t);
-      t += rng.exponential(options.arrivalRatePerSecond);
-    }
-  } else {
-    for (std::size_t i = 0; i + 1 < arrivalTimes.size(); ++i) {
-      DSCT_CHECK_MSG(arrivalTimes[i] <= arrivalTimes[i + 1],
-                     "arrivalTimes must be ascending");
-    }
-  }
-
-  // Fault event stream — generated only when enabled, so the default path
-  // draws no extra random numbers and stays bit-identical to the pre-fault
-  // driver.
-  FaultTrace faults;
+  // Fault events and the availability layer (DESIGN.md §15) are generated
+  // only when enabled, so the default path draws no extra random numbers
+  // and stays bit-identical to the driver before either existed.
+  const auto numEpochs = static_cast<long long>(
+      std::ceil(options.horizonSeconds / options.epochSeconds));
+  const auto numMachines = static_cast<int>(machines.size());
   if (options.faults.enabled) {
-    const long long numEpochs = static_cast<long long>(
-        std::ceil(options.horizonSeconds / options.epochSeconds));
-    faults = FaultTrace::generate(static_cast<int>(machines.size()),
-                                  options.horizonSeconds, numEpochs,
-                                  options.faults);
+    faults_ = FaultTrace::generate(numMachines, options.horizonSeconds,
+                                   numEpochs, options.faults);
   }
-  // Availability layer (DESIGN.md §15): a seeded departure schedule at
-  // whole-epoch granularity plus per-machine battery stores. Generated only
-  // when enabled, so the default path draws no extra random numbers and
-  // stays bit-identical to the pre-availability driver.
-  AvailabilityTrace avail;
-  BatteryModel battery;
   if (options.availability.enabled) {
-    const long long numEpochs = static_cast<long long>(
-        std::ceil(options.horizonSeconds / options.epochSeconds));
-    avail = AvailabilityTrace::generate(
-        static_cast<int>(machines.size()), options.horizonSeconds, numEpochs,
-        options.epochSeconds, options.availability);
-    if (avail.batteryActive()) {
-      battery =
-          BatteryModel(static_cast<int>(machines.size()), options.availability);
+    avail_ = AvailabilityTrace::generate(numMachines, options.horizonSeconds,
+                                         numEpochs, options.epochSeconds,
+                                         options.availability);
+    if (avail_.batteryActive()) {
+      battery_ = BatteryModel(numMachines, options.availability);
     }
   }
-  // The fallback chain (try primary → validate → walk options.fallbackChain)
-  // runs only when some guard is active; otherwise scheduling is a single
-  // unguarded call exactly as before.
-  const bool guarded = options.faults.enabled || options.validateEpochs ||
-                       options.epochTimeLimitSeconds > 0.0;
 
-  // Resolve the primary policy and the fallback chain through the solver
-  // registry up front, so a typo fails the run at epoch 0 rather than at the
-  // first faulty epoch.
-  const Solver& basePrimary = resolveServingSolver(policy);
-  // Sharded serving wraps the primary in a run-local ShardedSolver: every
-  // existing dispatch path (sync, async pipeline, guarded chain) then treats
-  // the coordinated solve as a normal Solver. The coordinator is stateful
-  // (per-cell caches, warm-start slots), which is safe here because the
-  // driver keeps at most one solve in flight. Fallback attempts keep using
-  // registry solvers directly, so the safety net never depends on the shard
-  // layer.
-  std::unique_ptr<shard::ShardedSolver> shardedPrimary;
+  // Resolve the primary policy and the fallback chain up front, so a typo
+  // fails the run at epoch 0 rather than at the first faulty epoch.
+  basePrimary_ = &resolveServingSolver(policy);
+  // Sharded serving wraps the primary in a run-local ShardedSolver, which
+  // every attempt then treats as a normal Solver. The coordinator is
+  // stateful (per-cell caches, warm-start slots), which is safe because at
+  // most one solve is in flight. Fallback attempts use registry solvers
+  // directly, so the safety net never depends on the shard layer.
   if (options.shards > 1) {
     shard::ShardOptions shardOptions;
     shardOptions.cells = options.shards;
     shardOptions.seed = options.shardSeed;
-    shardedPrimary =
-        std::make_unique<shard::ShardedSolver>(basePrimary, shardOptions);
+    shardedPrimary_ =
+        std::make_unique<shard::ShardedSolver>(*basePrimary_, shardOptions);
   }
-  const Solver& primary =
-      shardedPrimary != nullptr ? *shardedPrimary : basePrimary;
-  std::vector<const Solver*> chain;
-  chain.reserve(options.fallbackChain.size());
+  primary_ = shardedPrimary_ != nullptr ? shardedPrimary_.get() : basePrimary_;
+  chain_.reserve(options.fallbackChain.size());
   for (const std::string& name : options.fallbackChain) {
-    chain.push_back(&resolveServingSolver(name));
+    chain_.push_back(&resolveServingSolver(name));
   }
 
-  // Cache/pool demand is capability-driven: the chain only contributes in
-  // guarded runs (it is never consulted otherwise), which keeps unguarded
-  // runs bit-identical to the pre-registry driver for every policy.
-  bool wantsCache = primary.capabilities().usesProfileCache;
-  bool wantsPool = primary.capabilities().usesThreadPool;
-  bool wantsLpWarm = primary.capabilities().usesLpWarmStart;
-  if (guarded) {
-    for (const Solver* fb : chain) {
-      wantsCache = wantsCache || fb->capabilities().usesProfileCache;
-      wantsPool = wantsPool || fb->capabilities().usesThreadPool;
-      wantsLpWarm = wantsLpWarm || fb->capabilities().usesLpWarmStart;
+  // Shared resources are capability-driven; the chain contributes only in
+  // guarded runs, the only runs that consult it.
+  SolverCapabilities wants = primary_->capabilities();
+  if (guarded_) {
+    for (const Solver* fb : chain_) {
+      const SolverCapabilities caps = fb->capabilities();
+      wants.usesProfileCache = wants.usesProfileCache || caps.usesProfileCache;
+      wants.usesThreadPool = wants.usesThreadPool || caps.usesThreadPool;
+      wants.usesLpWarmStart = wants.usesLpWarmStart || caps.usesLpWarmStart;
     }
   }
-
-  // Cross-solve evaluation cache carried across epochs. Epochs with an
-  // identical batch on an identical machine state (idle stretches, carried
-  // backlog, fallback re-solves) reuse earlier FR-OPT evaluations instead of
-  // solving cold; any change to the epoch instance changes the fingerprint.
-  std::optional<ProfileCache> crossCache;
-  if (options.crossSolveCache && wantsCache) {
-    crossCache.emplace();
+  // The cross-solve cache, the worker pool and the LP warm-start slot are
+  // carried across the run's epochs; none of them changes results, only
+  // the work. Epochs with an identical batch on an identical machine state
+  // reuse earlier FR-OPT evaluations; one epoch's optimal basis seeds the
+  // next epoch's LP when the instance structure matches. Sharded runs
+  // always get a pool: the coordinator fans the cell solves out on it.
+  if (options.crossSolveCache && wants.usesProfileCache) crossCache_.emplace();
+  if ((options.parallelCachedEval && wants.usesThreadPool) ||
+      shardedPrimary_ != nullptr) {
+    solverPool_ = std::make_unique<ThreadPool>(options.solverThreads);
   }
-  // Worker pool for the parallel cached evaluation path, carried across the
-  // run's epochs like the cache. Results are bit-identical with or without
-  // it — the pool only changes where the work runs.
-  std::unique_ptr<ThreadPool> solverPool;
-  // Sharded runs always get a pool: the coordinator fans the per-cell
-  // solves out on it (cells run their own fan-outs inline on the workers).
-  // Pool placement never changes results — reductions are index-ordered.
-  if ((options.parallelCachedEval && wantsPool) || shardedPrimary != nullptr) {
-    solverPool = std::make_unique<ThreadPool>(options.solverThreads);
+  if (options.lpWarmStarts && wants.usesLpWarmStart) lpWarmSlot_.emplace();
+  solveCtx_.frOpt.sharedCache = crossCache_ ? &*crossCache_ : nullptr;
+  solveCtx_.frOpt.pool = solverPool_.get();
+  solveCtx_.frOpt.parallelCachedEval = options.parallelCachedEval;
+  solveCtx_.lpWarm = lpWarmSlot_ ? &*lpWarmSlot_ : nullptr;
+  if (options.asyncServing) {
+    pipeline_ = std::make_unique<AsyncSolvePipeline>();
   }
-  // Cross-epoch LP warm-start slot, carried like the cache: one epoch's
-  // optimal basis seeds the next epoch's LP when the instance structure
-  // matches. The driver drains every background solve before starting the
-  // next, so the slot is never touched by two solves at once.
-  std::optional<LpWarmStartSlot> lpWarmSlot;
-  if (options.lpWarmStarts && wantsLpWarm) lpWarmSlot.emplace();
-  // LP telemetry summed over every solve of the run (primary, fallback, and
-  // async alike); folded into ServingStats at the end.
-  lp::LpCounters lpTotals;
-  const auto noteLp = [&lpTotals](const SolveOutcome& outcome) {
-    lpTotals.add(outcome.lpCounters);
-  };
-  SolveContext solveCtx;
-  solveCtx.frOpt.sharedCache = crossCache ? &*crossCache : nullptr;
-  solveCtx.frOpt.pool = solverPool.get();
-  solveCtx.frOpt.parallelCachedEval = options.parallelCachedEval;
-  solveCtx.lpWarm = lpWarmSlot ? &*lpWarmSlot : nullptr;
-  // Per-epoch availability hints, refilled before each epoch's solves and
-  // handed only to capability-gated solvers. Declared at driver scope so the
-  // async pipeline's context can point at it across the submission.
-  AvailabilityHints epochHints;
-  const auto applyAvailability = [&](SolveContext& ctx, const Solver& solver) {
-    if (!epochHints.machineEnergyCaps.empty() &&
-        solver.capabilities().availabilityAware) {
-      ctx.availability = &epochHints;
-    }
-  };
-  const auto scheduleEpoch = [&](const Solver& solver, const Instance& inst) {
-    SolveContext ctx = solveCtx;
-    applyAvailability(ctx, solver);
-    SolveOutcome outcome = solver.solve(inst, ctx);
-    noteLp(outcome);
-    DSCT_CHECK_MSG(outcome.schedule.has_value(),
-                   "solver '" << solver.name()
-                              << "' returned no integral schedule");
-    return std::move(*outcome.schedule);
-  };
-  // Same solve with a cancel token threaded through the context; the shared
-  // resources (cache, pool) are untouched, so a null token is bit-identical
-  // to scheduleEpoch's solve.
-  const auto solveWithCancel = [&](const Solver& solver, const Instance& inst,
-                                   const CancelToken* token) {
-    SolveContext ctx = solveCtx;
-    ctx.cancel = token;
-    applyAvailability(ctx, solver);
-    return solver.solve(inst, ctx);
-  };
+}
 
-  const auto nowSeconds = [&options]() {
-    return options.clock ? options.clock() : steadyNowSeconds();
-  };
-
-  // Background solve lane for async serving. The driver drains every
-  // submitted future within its epoch, so at most one solve is in flight
-  // and the shared cache/pool are never used from two threads at once.
-  std::unique_ptr<AsyncSolvePipeline> pipeline;
-  if (options.asyncServing) pipeline = std::make_unique<AsyncSolvePipeline>();
-  // Double-buffering is allowed only when executing an epoch cannot change
-  // the next epoch's batch or budget: backlog carry-over, fault injection,
-  // availability (battery drain couples execution into the next budget),
-  // and admission control all feed execution results back into later
-  // epochs, so those modes drain the solve before executing instead.
-  const bool overlapEligible = options.asyncServing && !options.carryBacklog &&
-                               !options.faults.enabled &&
-                               !options.availability.enabled &&
-                               options.admissionLoadFactor <= 0.0;
-
-  // In-flight requests. Without backlog carry-over a request lives for one
-  // epoch; with it, a request re-enters later batches with its residual
-  // accuracy function until its deadline passes or it is fully processed.
-  // Fault recovery reuses the same residual path: an interrupted request
-  // re-enters with its partial FLOPs until its retry budget runs out.
-  struct Active {
-    double arrival;
-    double absoluteDeadline;
-    PiecewiseLinearAccuracy accuracy;  ///< the request's full curve
-    double flopsDone = 0.0;
-    double lastFinish = 0.0;  ///< absolute completion time of the last slice
-    int retryCount = 0;       ///< epochs in which this request was interrupted
-    bool interrupted = false; ///< interrupted in the current epoch
-    double missPenalty = 1.0; ///< SLA weight per missed deadline
-  };
-  std::vector<Active> active;
-  std::size_t next = 0;  // next unconsumed arrival
-
-  ServingStats stats;
-  // Fold the coordinator's per-solve stats into the run totals after every
-  // sharded primary solve; a price loop that hit its cap outside the budget
-  // tolerance is logged as an incident (payload: the accepted λ).
-  const auto noteShard = [&](long long epoch) {
-    if (shardedPrimary == nullptr) return;
-    const shard::ShardStats& ss = shardedPrimary->lastStats();
-    ++stats.shardedEpochs;
-    stats.shardPriceIterations += ss.priceIterations;
-    stats.shardTopUpCells += ss.topUpCells;
-    stats.shardTopUpEnergy += ss.topUpEnergy;
-    if (!ss.converged) {
-      ++stats.shardPriceDivergences;
-      stats.incidents.push_back(
-          {epoch, IncidentKind::kShardPriceDiverged, ss.finalPrice});
-    }
-  };
-  double accuracySum = 0.0;
-  double latencySum = 0.0;
-  const auto finalize = [&](const Active& req) {
-    ++stats.requests;
-    accuracySum += req.accuracy.value(req.flopsDone);
-    if (req.flopsDone > 0.0) {
-      ++stats.served;
-      latencySum += req.lastFinish - req.arrival;
-    } else if (hasRequestTrace &&
-               req.absoluteDeadline <= options.horizonSeconds) {
-      // SLA accounting for supplied traces: a request whose deadline expired
-      // inside the horizon without receiving any service missed its SLA.
-      // Only trace mode counts these — the legacy generator path keeps its
-      // executed-late-only semantics bit-identically.
-      ++stats.deadlineMisses;
-      stats.missPenalty += req.missPenalty;
-    }
-  };
-
-  // Double-buffered execution stash for async serving: epoch k's plan is
-  // executed while epoch k+1's solve runs on the pipeline thread. Only used
-  // when overlapEligible — execution then cannot feed back into later
-  // batches, so retire() degenerates to finalize-everything, which is
-  // exactly what the flush does.
-  struct PendingExec {
-    Instance inst;
-    IntegralSchedule sched;
-    std::vector<Active> batch;
-    std::vector<std::size_t> order;
-    double epochEnd = 0.0;
-  };
-  std::optional<PendingExec> pendingExec;
-  const auto flushPending = [&]() {
-    if (!pendingExec.has_value()) return;
-    PendingExec& p = *pendingExec;
-    // Overlap mode implies faults are disabled, so the default FaultContext
-    // reproduces the inline execution path exactly (no interruptions).
-    const ExecutionResult exec =
-        executeSchedule(p.inst, p.sched, CommModel{}, FaultContext{});
-    stats.totalEnergy += exec.totalEnergy;
-    for (int j = 0; j < p.inst.numTasks(); ++j) {
-      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
-      Active& req = p.batch[p.order[static_cast<std::size_t>(j)]];
-      if (te.executed && te.flops > 0.0) {
-        req.flopsDone += te.flops;
-        req.lastFinish = p.epochEnd + te.finish;
-      }
-      if (!te.deadlineMet) {
-        ++stats.deadlineMisses;
-        stats.missPenalty += req.missPenalty;
-      }
-    }
-    for (const Active& req : p.batch) finalize(req);
-    pendingExec.reset();
-  };
-
+ServingStats ServingRun::run() {
   // Iterate over the integer epoch index and derive both boundaries by
   // multiplication: accumulating `epochStart += epochSeconds` compounds one
   // rounding error per epoch, which can admit an arrival into the wrong
   // epoch or run one epoch too many/few over long horizons.
   for (long long epoch = 0;; ++epoch) {
-    const double epochStart = static_cast<double>(epoch) * options.epochSeconds;
-    if (epochStart >= options.horizonSeconds) break;
+    const double epochStart =
+        static_cast<double>(epoch) * options_.epochSeconds;
+    if (epochStart >= options_.horizonSeconds) break;
     const double epochEnd =
-        static_cast<double>(epoch + 1) * options.epochSeconds;
-    // Battery recharge at every epoch boundary — including idle or departed
-    // epochs, before any early exits below, so a drained volunteer device
-    // recovers while it sits out.
-    if (battery.active() && epoch > 0) battery.recharge(options.epochSeconds);
-    // Admit this epoch's arrivals. A request trace supplies the per-request
-    // deadline/θ/penalty directly (no RNG draws); otherwise both are drawn
-    // from the workload RNG exactly as before.
-    while (next < arrivalTimes.size() && arrivalTimes[next] < epochEnd) {
-      const double arrival = arrivalTimes[next];
-      double relDeadline, theta, missPenalty;
-      if (hasRequestTrace) {
-        const RequestSpec& spec = options.requestTrace[next];
-        relDeadline = spec.relDeadline;
-        theta = spec.theta;
-        missPenalty = spec.missPenalty;
-      } else {
-        relDeadline =
-            rng.uniform(options.relDeadlineLo, options.relDeadlineHi);
-        theta = rng.uniform(options.thetaLo, options.thetaHi);
-        missPenalty = 1.0;
-      }
-      active.push_back(Active{
-          arrival, arrival + relDeadline,
-          makePaperAccuracy(options.amin, options.amax, theta,
-                            options.segments),
-          0.0, 0.0, 0, false, missPenalty});
-      ++next;
+        static_cast<double>(epoch + 1) * options_.epochSeconds;
+    // Battery recharge at every epoch boundary — idle and departed epochs
+    // included — so a drained volunteer device recovers while it sits out.
+    if (battery_.active() && epoch > 0) {
+      battery_.recharge(options_.epochSeconds);
     }
-    if (active.empty()) continue;
-    ++stats.epochs;
+    admit(epochEnd);
+    if (active_.empty()) continue;
+    ++stats_.epochs;
 
-    // Retire requests; with carry-over, keep those that still have usable
-    // time next epoch and remaining accuracy headroom. Interrupted requests
-    // additionally re-enter (their residual suffix carries the partial
-    // FLOPs) until the retry budget is exhausted.
-    const auto retire = [&]() {
-      std::vector<Active> carried;
-      for (Active& req : active) {
-        const bool complete =
-            req.flopsDone >= req.accuracy.fmax() - 1e-9;
-        const bool hasTimeNextEpoch =
-            req.absoluteDeadline > epochEnd + options.epochSeconds;
-        const bool nextEpochRuns =
-            epochEnd + options.epochSeconds < options.horizonSeconds;
-        const bool carryNormal = options.carryBacklog && !complete &&
-                                 hasTimeNextEpoch && nextEpochRuns;
-        // Battery exhaustion spills through the same retry path as crashes
-        // (the executor flags cut tasks `interrupted` either way); both share
-        // options.faults.maxRetries — identical to faults.maxRetries() when
-        // the fault trace is enabled.
-        const bool retryPathActive = faults.enabled() || battery.active();
-        const bool carryRetry =
-            retryPathActive && req.interrupted && !complete &&
-            hasTimeNextEpoch && nextEpochRuns &&
-            req.retryCount <= options.faults.maxRetries;
-        if (carryNormal || carryRetry) {
-          if (req.interrupted) {
-            ++stats.retries;
-            req.interrupted = false;
-          }
-          carried.push_back(std::move(req));
-        } else {
-          if (req.interrupted && !complete && hasTimeNextEpoch &&
-              nextEpochRuns && req.retryCount > options.faults.maxRetries) {
-            ++stats.abandoned;
-          }
-          finalize(req);
-        }
-      }
-      active = std::move(carried);
-    };
-
-    // Replan against the machines that are actually in the fleet and alive
-    // at the epoch boundary: departed machines (availability trace) are
-    // excluded for the whole epoch, crashed machines until they recover; a
-    // machine that recovers/returns mid-epoch rejoins next epoch.
-    std::vector<int> aliveIdx;
-    std::vector<Machine> aliveMachines;
-    const bool filterMachines = faults.enabled() || avail.enabled();
-    if (filterMachines) {
-      int departedHere = 0;
-      for (int r = 0; r < static_cast<int>(machines.size()); ++r) {
-        if (!avail.presentInEpoch(r, epoch)) {
-          ++departedHere;
-          continue;
-        }
-        if (faults.enabled() && !faults.aliveAt(r, epochStart)) continue;
-        aliveIdx.push_back(r);
-        aliveMachines.push_back(machines[static_cast<std::size_t>(r)]);
-      }
-      if (departedHere > 0) {
-        stats.machineDepartures += departedHere;
-        stats.incidents.push_back({epoch, IncidentKind::kMachineDeparted,
-                                   static_cast<double>(departedHere)});
-      }
-      if (aliveIdx.empty()) {
-        ++stats.noMachineEpochs;
-        stats.incidents.push_back(
-            {epoch, IncidentKind::kNoAliveMachines, 0.0});
-        retire();
-        continue;
-      }
+    std::vector<int> fleet;
+    std::vector<Machine> present;
+    if (!filterFleet(epoch, epochStart, fleet, present)) {
+      active_ = retire(std::move(active_), epochEnd);
+      continue;
     }
-    const std::vector<Machine>& instMachines =
-        filterMachines ? aliveMachines : machines;
-
-    // Admission control: shed the requests with the least remaining accuracy
-    // headroom when the batch exceeds the configured load factor.
-    if (options.admissionLoadFactor > 0.0) {
-      const std::size_t cap = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(options.admissionLoadFactor *
-                                                static_cast<double>(
-                                                    instMachines.size()))));
-      if (active.size() > cap) {
-        std::vector<std::size_t> byHeadroom(active.size());
-        for (std::size_t i = 0; i < byHeadroom.size(); ++i) byHeadroom[i] = i;
-        std::stable_sort(byHeadroom.begin(), byHeadroom.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           const auto headroom = [&](const Active& req) {
-                             return req.accuracy.amax() -
-                                    req.accuracy.value(req.flopsDone);
-                           };
-                           return headroom(active[a]) > headroom(active[b]);
-                         });
-        std::vector<bool> keep(active.size(), false);
-        for (std::size_t k = 0; k < cap; ++k) keep[byHeadroom[k]] = true;
-        std::vector<Active> kept;
-        kept.reserve(cap);
-        int shedHere = 0;
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (keep[i]) {
-            kept.push_back(std::move(active[i]));
-          } else {
-            finalize(active[i]);
-            ++shedHere;
-          }
-        }
-        active = std::move(kept);
-        stats.shed += shedHere;
-        stats.incidents.push_back({epoch, IncidentKind::kAdmissionShed,
-                                   static_cast<double>(shedHere)});
-      }
-    }
+    shed(epoch, present.size());
 
     // Build a DSCT-EA instance with residual curves and deadlines relative
-    // to the epoch end.
+    // to the epoch end. The instance sorts its tasks by deadline; `order`
+    // remembers the batch slot behind each sorted task.
     std::vector<Task> tasks;
-    tasks.reserve(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Active& req = active[i];
+    tasks.reserve(active_.size());
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      const Active& req = active_[i];
       const double rel = std::max(1e-3, req.absoluteDeadline - epochEnd);
-      PiecewiseLinearAccuracy curve =
-          req.flopsDone > 0.0 ? req.accuracy.suffix(req.flopsDone)
-                              : req.accuracy;
+      PiecewiseLinearAccuracy curve = req.flopsDone > 0.0
+                                          ? req.accuracy.suffix(req.flopsDone)
+                                          : req.accuracy;
       tasks.push_back(Task{rel, std::move(curve), "req-" + std::to_string(i)});
     }
-    // Instance sorts by deadline; remember the active slot per sorted task.
-    std::vector<std::size_t> order(active.size());
+    std::vector<std::size_t> order(active_.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return tasks[a].deadline < tasks[b].deadline;
                      });
+    const double budget = epochBudget(epoch, epochStart, epochEnd, fleet);
+    Instance inst(std::move(tasks), std::move(present), budget);
 
-    double budget = std::max(0.0, budgetFor(epochStart, epochEnd));
-    const double shock = faults.budgetFactor(epoch);
-    if (shock != 1.0) {
-      budget *= shock;
-      ++stats.budgetShockEpochs;
-      stats.incidents.push_back({epoch, IncidentKind::kBudgetShock, shock});
+    // Async serving submits the primary solve to the pipeline thread before
+    // the previous epoch's deferred execution runs, so the two overlap. An
+    // epoch whose primary is an injected failure submits nothing: the
+    // chain would discard the result unsolved.
+    std::optional<AttemptSolve> async;
+    if (pipeline_ != nullptr && !faults_.policyFailureInjected(epoch)) {
+      AttemptSolve& a = async.emplace();
+      prepare(a, *primary_, limited_ ? now() : 0.0,
+              options_.epochTimeLimitSeconds);
+      a.fut = pipeline_->submit(*primary_, inst, a.ctx);
+      ++stats_.asyncEpochs;
     }
-    // Battery coupling: the fleet cannot spend energy it has not stored, so
-    // the epoch budget is capped at Σ charge over the present machines.
-    // Per-machine caps are also handed to availability-aware solvers so they
-    // can avoid over-assigning a nearly-empty machine in the first place.
-    epochHints.machineEnergyCaps.clear();
-    if (battery.active()) {
-      double stored = 0.0;
-      epochHints.machineEnergyCaps.reserve(aliveIdx.size());
-      for (int r : aliveIdx) {
-        const double charge = battery.charge(r);
-        stored += charge;
-        epochHints.machineEnergyCaps.push_back(charge);
-      }
-      if (options.availability.capGlobalBudget && stored < budget) {
-        budget = stored;
-        ++stats.batteryCappedEpochs;
-        stats.incidents.push_back(
-            {epoch, IncidentKind::kBatteryBudgetCapped, stored});
-      }
+    // Overlap window: the previous epoch's plan executes here while this
+    // epoch's solve is in flight.
+    if (pending_.has_value()) {
+      execute(*pending_);
+      pending_.reset();
     }
-    Instance inst(tasks, instMachines, budget);
-
-    // Async serving: submit the primary solve to the pipeline thread BEFORE
-    // flushing the previous epoch's deferred execution, so the solve and
-    // the execution overlap. A primary attempt that is known a priori to be
-    // an injected failure is not submitted — solving it would waste the
-    // pipeline slot on a result the chain discards unsolved.
-    struct AsyncPrimary {
-      SolveContext ctx;
-      std::unique_ptr<CancelToken> token;
-      double granted = std::numeric_limits<double>::infinity();
-      double start = 0.0;
-      std::future<SolveOutcome> fut;
-      bool submitted = false;
-    } asyncPrimary;
-    if (pipeline != nullptr) {
-      const bool injected = guarded && faults.policyFailureInjected(epoch) &&
-                            faults.injectFailureDepth() > 0;
-      if (!injected) {
-        asyncPrimary.ctx = solveCtx;
-        applyAvailability(asyncPrimary.ctx, primary);
-        if (guarded && options.epochTimeLimitSeconds > 0.0) {
-          asyncPrimary.granted = options.epochTimeLimitSeconds;
-          asyncPrimary.start = nowSeconds();
-          asyncPrimary.token = std::make_unique<CancelToken>(
-              options.epochTimeLimitSeconds, options.clock);
-          asyncPrimary.ctx.cancel = asyncPrimary.token.get();
-        }
-        asyncPrimary.fut = pipeline->submit(primary, inst, asyncPrimary.ctx);
-        asyncPrimary.submitted = true;
-        ++stats.asyncEpochs;
-      }
+    IntegralSchedule sched = schedule(inst, epoch, async);
+    EpochPlan plan{epoch,           epochStart,         epochEnd,
+                   std::move(inst), std::move(sched),   std::move(active_),
+                   std::move(order), std::move(fleet)};
+    active_.clear();
+    if (overlap_) {
+      pending_.emplace(std::move(plan));
+    } else {
+      execute(plan);
     }
-    // The in-flight solve references this scope's instance, context, and
-    // token; drain it even if execution or scheduling below throws.
-    struct FutureDrain {
-      AsyncPrimary* p;
-      ~FutureDrain() {
-        if (p->submitted && p->fut.valid()) p->fut.wait();
-      }
-    } futureDrain{&asyncPrimary};
+  }
+  // Horizon over: execute the last deferred plan, then finalize whatever is
+  // still in flight. Arrivals past the last epoch (possible with
+  // caller-provided times) are outside the simulation and not counted.
+  if (pending_.has_value()) execute(*pending_);
+  for (const Active& req : active_) finalize(req);
 
-    // Overlap window: the previous epoch's schedule executes here while (in
-    // async mode) this epoch's solve is already running.
-    flushPending();
+  if (stats_.requests > 0) {
+    stats_.meanAccuracy = accuracySum_ / static_cast<double>(stats_.requests);
+  }
+  if (stats_.served > 0) {
+    stats_.meanLatency = latencySum_ / static_cast<double>(stats_.served);
+  }
+  stats_.lpPivots = lpTotals_.pivots;
+  stats_.lpRefactorizations = lpTotals_.refactorizations;
+  stats_.lpWarmStartsUsed = lpTotals_.warmStartsUsed;
+  stats_.lpWarmStartsRepaired = lpTotals_.warmStartsRepaired;
+  stats_.lpWarmStartsRejected = lpTotals_.warmStartsRejected;
+  if (crossCache_) {
+    const ProfileCacheCounters cc = crossCache_->counters();
+    stats_.profileCacheHits = cc.hits;
+    stats_.profileCacheMisses = cc.misses;
+    stats_.profileCacheInvalidations = cc.invalidations;
+    stats_.profileCacheContended = cc.contended;
+    stats_.profileCacheShards =
+        static_cast<long long>(crossCache_->shardCount());
+  }
+  return stats_;
+}
 
-    // Schedule the epoch. Guarded mode wraps the primary policy in the
-    // configurable fallback chain: exception / injected failure / solve-
-    // budget timeout / validator rejection each demote the epoch to the
-    // next chain entry, and if every entry is rejected too the epoch serves
-    // an empty schedule rather than executing an infeasible one.
-    IntegralSchedule sched = [&]() -> IntegralSchedule {
-      if (!guarded) {
-        if (asyncPrimary.submitted) {
-          SolveOutcome outcome = asyncPrimary.fut.get();
-          noteLp(outcome);
-          noteShard(epoch);
-          DSCT_CHECK_MSG(outcome.schedule.has_value(),
-                         "solver '" << primary.name()
-                                    << "' returned no integral schedule");
-          return std::move(*outcome.schedule);
-        }
-        IntegralSchedule s = scheduleEpoch(primary, inst);
-        noteShard(epoch);
-        return s;
-      }
-      // depth 0 = the primary policy, depth k = the k-th fallback attempt.
-      // Injected failures fail every attempt below the trace's
-      // injectFailureDepth (default 1: primary only, the pre-chain
-      // semantics); real exceptions keep the historical log shape and are
-      // recorded for the primary only.
-      //
-      // The solve budget (epochTimeLimitSeconds) is shared by the whole
-      // attempt chain and anchored at the moment the primary started — its
-      // async submission time in async mode. Each attempt receives a
-      // CancelToken carrying the *remaining* budget, polled cooperatively
-      // inside the solvers; once the budget is blown, later attempts run
-      // unguarded (the chain must still serve the epoch, and the blowout is
-      // already on the incident log).
-      const bool limited = options.epochTimeLimitSeconds > 0.0;
-      const double chainStart = !limited                ? 0.0
-                                : asyncPrimary.submitted ? asyncPrimary.start
-                                                         : nowSeconds();
-      const double chainDeadline = chainStart + options.epochTimeLimitSeconds;
-      const auto attempt =
-          [&](const Solver& solver, int depth) -> std::optional<IntegralSchedule> {
-        if (faults.policyFailureInjected(epoch) &&
-            depth < faults.injectFailureDepth()) {
-          ++stats.policyFailures;
-          stats.incidents.push_back({epoch, IncidentKind::kPolicyFailure,
-                                     static_cast<double>(depth)});
-          return std::nullopt;
-        }
-        const bool isAsyncPrimary = depth == 0 && asyncPrimary.submitted;
-        std::unique_ptr<CancelToken> token;
-        double granted = std::numeric_limits<double>::infinity();
-        double attemptStart = 0.0;
-        if (isAsyncPrimary) {
-          granted = asyncPrimary.granted;
-          attemptStart = asyncPrimary.start;
-        } else if (limited) {
-          attemptStart = nowSeconds();
-          granted = chainDeadline - attemptStart;
-          if (granted > 0.0) {
-            token = std::make_unique<CancelToken>(granted, options.clock);
-          }
-        }
-        const CancelToken* activeToken =
-            isAsyncPrimary ? asyncPrimary.token.get() : token.get();
-        std::optional<IntegralSchedule> s;
-        bool cancelledOutcome = false;
-        try {
-          SolveOutcome outcome =
-              isAsyncPrimary ? asyncPrimary.fut.get()
-                             : solveWithCancel(solver, inst, activeToken);
-          noteLp(outcome);
-          if (depth == 0) noteShard(epoch);
-          cancelledOutcome = outcome.cancelled();
-          if (!cancelledOutcome) {
-            // Inside the try: a missing schedule is a policy failure the
-            // chain absorbs, same as any other solver exception.
-            DSCT_CHECK_MSG(outcome.schedule.has_value(),
-                           "solver '" << solver.name()
-                                      << "' returned no integral schedule");
-            s = std::move(*outcome.schedule);
-          }
-        } catch (const std::exception&) {
-          if (depth == 0) {
-            ++stats.policyFailures;
-            stats.incidents.push_back(
-                {epoch, IncidentKind::kPolicyFailure, 0.0});
-          }
-          return std::nullopt;
-        }
-        // An attempt times out when the solver observed its token and
-        // stopped early (kCancelled), or — for slow non-cooperative spans —
-        // when it ran past its granted budget post hoc. Unguarded attempts
-        // (activeToken == nullptr, budget already blown) are never flagged.
-        const double elapsed = limited ? nowSeconds() - attemptStart : 0.0;
-        if (cancelledOutcome ||
-            (activeToken != nullptr && elapsed > granted)) {
-          if (depth == 0) ++stats.policyFailures;
-          ++stats.policyTimeouts;
-          stats.incidents.push_back(
-              {epoch, IncidentKind::kPolicyTimeout, elapsed, depth});
-          return std::nullopt;
-        }
-        if (!validate(inst, *s).feasible) {
-          ++stats.validatorRejections;
-          stats.incidents.push_back(
-              {epoch, IncidentKind::kValidatorReject, 0.0});
-          return std::nullopt;
-        }
-        return s;
-      };
-      std::optional<IntegralSchedule> s = attempt(primary, 0);
-      if (!s.has_value()) {
-        int depth = 1;
-        for (const Solver* fb : chain) {
-          // A chain entry equal to the primary would just repeat the failed
-          // attempt; skip it (this reproduces the historical "edf3 does not
-          // fall back to itself" rule under the default chain). Sharded runs
-          // compare against the inner solver — an unsharded retry of the
-          // same algorithm is still the same failed attempt.
-          if (fb == &basePrimary) continue;
-          s = attempt(*fb, depth++);
-          if (s.has_value()) {
-            ++stats.fallbacks;
-            stats.incidents.push_back(
-                {epoch, IncidentKind::kFallbackEngaged, 0.0});
-            break;
-          }
-        }
-      }
-      if (!s.has_value()) {
-        ++stats.fallbacks;
-        stats.incidents.push_back({epoch, IncidentKind::kEmptySchedule, 0.0});
-        s = IntegralSchedule::build(
-            inst,
-            std::vector<int>(static_cast<std::size_t>(inst.numTasks()), -1),
-            std::vector<double>(static_cast<std::size_t>(inst.numTasks()),
-                                0.0));
-      }
-      return *std::move(s);
-    }();
+void ServingRun::admit(double epochEnd) {
+  while (next_ < requests_.size() && requests_[next_].arrival < epochEnd) {
+    const RequestSpec& spec = requests_[next_++];
+    active_.push_back(Active{
+        spec.arrival, spec.arrival + spec.relDeadline,
+        makePaperAccuracy(options_.amin, options_.amax, spec.theta,
+                          options_.segments),
+        0.0, 0.0, 0, false, spec.missPenalty});
+  }
+}
 
-    if (overlapEligible) {
-      // Defer this epoch's execution: it runs inside the next iteration's
-      // overlap window (or in the post-loop flush at the horizon), while
-      // the next epoch's solve is in flight.
-      pendingExec.emplace(PendingExec{std::move(inst), std::move(sched),
-                                      std::move(active), std::move(order),
-                                      epochEnd});
-      active.clear();
+/// Replan against the machines that are in the fleet and alive at the
+/// epoch boundary: departed machines (availability trace) are excluded for
+/// the whole epoch, crashed machines until they recover; a machine that
+/// recovers or returns mid-epoch rejoins next epoch. Without faults or
+/// availability the whole fleet serves and `fleet` stays empty. Returns
+/// false when no machine is present.
+bool ServingRun::filterFleet(long long epoch, double epochStart,
+                             std::vector<int>& fleet,
+                             std::vector<Machine>& present) {
+  if (!faults_.enabled() && !avail_.enabled()) {
+    present = machines_;
+    return true;
+  }
+  int departedHere = 0;
+  for (int r = 0; r < static_cast<int>(machines_.size()); ++r) {
+    if (!avail_.presentInEpoch(r, epoch)) {
+      ++departedHere;
       continue;
     }
-
-    FaultContext ctx;
-    if (faults.enabled()) {
-      ctx.trace = &faults;
-      ctx.timeOffset = epochStart;
-      ctx.machineMap = aliveIdx;
-    }
-    // Battery discounting: a machine whose store cannot cover the energy of
-    // its assigned timeline is cut at the instant the store runs dry — the
-    // same semantics as a crash, so the residual spills through the existing
-    // retry/backlog path. Machines within their charge keep the exact
-    // unfaulted execution (empty cut vector, +inf cuts elsewhere).
-    if (battery.active()) {
-      std::vector<double> cuts(instMachines.size(),
-                               std::numeric_limits<double>::infinity());
-      int exhaustedHere = 0;
-      for (std::size_t i = 0; i < instMachines.size(); ++i) {
-        const double power = instMachines[i].power();
-        double assignedSeconds = 0.0;
-        for (const ScheduledTask& e : sched.timeline(static_cast<int>(i))) {
-          assignedSeconds += e.duration;
-        }
-        const double assigned = assignedSeconds * power;
-        const double charge = battery.charge(aliveIdx[i]);
-        if (assigned > charge + 1e-9) {
-          cuts[i] = power > 0.0
-                        ? charge / power
-                        : std::numeric_limits<double>::infinity();
-          ++exhaustedHere;
-        }
-      }
-      if (exhaustedHere > 0) {
-        ctx.energyCutSeconds = std::move(cuts);
-        stats.batteryExhaustions += exhaustedHere;
-        stats.incidents.push_back({epoch, IncidentKind::kBatteryExhausted,
-                                   static_cast<double>(exhaustedHere)});
-      }
-    }
-    const ExecutionResult exec = executeSchedule(inst, sched, CommModel{}, ctx);
-    if (battery.active()) {
-      // Drain by the energy actually consumed (busy seconds × power), which
-      // a cut bounds at the machine's stored charge up to rounding.
-      for (std::size_t i = 0; i < instMachines.size(); ++i) {
-        battery.drain(aliveIdx[i],
-                      exec.machineBusySeconds[i] * instMachines[i].power());
-      }
-    }
-
-    stats.totalEnergy += exec.totalEnergy;
-    for (int j = 0; j < inst.numTasks(); ++j) {
-      const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
-      Active& req = active[order[static_cast<std::size_t>(j)]];
-      if (te.executed && te.flops > 0.0) {
-        req.flopsDone += te.flops;
-        req.lastFinish = epochEnd + te.finish;
-      }
-      if (te.interrupted) {
-        req.interrupted = true;
-        ++req.retryCount;
-        ++stats.interruptions;
-      }
-      if (!te.deadlineMet) {
-        ++stats.deadlineMisses;
-        stats.missPenalty += req.missPenalty;
-      }
-    }
-
-    retire();
+    if (faults_.enabled() && !faults_.aliveAt(r, epochStart)) continue;
+    fleet.push_back(r);
+    present.push_back(machines_[static_cast<std::size_t>(r)]);
   }
-  // Horizon over: flush the last deferred epoch, then retire whatever is
-  // still in flight. Arrivals at or past the horizon (possible with
-  // caller-provided times) are outside the simulation and not counted.
-  flushPending();
-  for (const Active& req : active) finalize(req);
+  if (departedHere > 0) {
+    stats_.machineDepartures += departedHere;
+    incident(epoch, IncidentKind::kMachineDeparted, departedHere);
+  }
+  if (fleet.empty()) {
+    ++stats_.noMachineEpochs;
+    incident(epoch, IncidentKind::kNoAliveMachines);
+    return false;
+  }
+  return true;
+}
 
-  if (stats.requests > 0) {
-    stats.meanAccuracy = accuracySum / static_cast<double>(stats.requests);
+/// Admission control: shed the requests with the least remaining accuracy
+/// headroom when the batch exceeds the configured load factor.
+void ServingRun::shed(long long epoch, std::size_t presentMachines) {
+  if (options_.admissionLoadFactor <= 0.0) return;
+  const std::size_t cap = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::ceil(options_.admissionLoadFactor *
+                       static_cast<double>(presentMachines))));
+  if (active_.size() <= cap) return;
+  std::vector<std::size_t> byHeadroom(active_.size());
+  for (std::size_t i = 0; i < byHeadroom.size(); ++i) byHeadroom[i] = i;
+  const auto headroom = [](const Active& req) {
+    return req.accuracy.amax() - req.accuracy.value(req.flopsDone);
+  };
+  std::stable_sort(byHeadroom.begin(), byHeadroom.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return headroom(active_[a]) > headroom(active_[b]);
+                   });
+  std::vector<bool> keep(active_.size(), false);
+  for (std::size_t k = 0; k < cap; ++k) keep[byHeadroom[k]] = true;
+  std::vector<Active> kept;
+  kept.reserve(cap);
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    if (keep[i]) {
+      kept.push_back(std::move(active_[i]));
+    } else {
+      finalize(active_[i]);
+    }
   }
-  if (stats.served > 0) {
-    stats.meanLatency = latencySum / static_cast<double>(stats.served);
+  const auto shedHere = static_cast<int>(active_.size() - cap);
+  active_ = std::move(kept);
+  stats_.shed += shedHere;
+  incident(epoch, IncidentKind::kAdmissionShed, shedHere);
+}
+
+/// The epoch's energy budget: the granted (or supplied) energy, scaled by a
+/// budget shock and capped at the fleet's stored energy. Also refills the
+/// per-machine caps handed to availability-aware solvers, so they can avoid
+/// over-assigning a nearly-empty machine in the first place.
+double ServingRun::epochBudget(long long epoch, double epochStart,
+                               double epochEnd, const std::vector<int>& fleet) {
+  double budget = std::max(0.0, supply_ != nullptr
+                                    ? supply_->energyBetween(epochStart,
+                                                             epochEnd)
+                                    : options_.energyBudgetPerEpoch);
+  const double shock = faults_.budgetFactor(epoch);
+  if (shock != 1.0) {
+    budget *= shock;
+    ++stats_.budgetShockEpochs;
+    incident(epoch, IncidentKind::kBudgetShock, shock);
   }
-  stats.lpPivots = lpTotals.pivots;
-  stats.lpRefactorizations = lpTotals.refactorizations;
-  stats.lpWarmStartsUsed = lpTotals.warmStartsUsed;
-  stats.lpWarmStartsRepaired = lpTotals.warmStartsRepaired;
-  stats.lpWarmStartsRejected = lpTotals.warmStartsRejected;
-  if (crossCache) {
-    const ProfileCacheCounters cc = crossCache->counters();
-    stats.profileCacheHits = cc.hits;
-    stats.profileCacheMisses = cc.misses;
-    stats.profileCacheInvalidations = cc.invalidations;
-    stats.profileCacheContended = cc.contended;
-    stats.profileCacheShards = static_cast<long long>(crossCache->shardCount());
+  epochHints_.machineEnergyCaps.clear();
+  if (battery_.active()) {
+    double stored = 0.0;
+    epochHints_.machineEnergyCaps.reserve(fleet.size());
+    for (int r : fleet) {
+      const double charge = battery_.charge(r);
+      stored += charge;
+      epochHints_.machineEnergyCaps.push_back(charge);
+    }
+    if (options_.availability.capGlobalBudget && stored < budget) {
+      budget = stored;
+      ++stats_.batteryCappedEpochs;
+      incident(epoch, IncidentKind::kBatteryBudgetCapped, stored);
+    }
   }
-  return stats;
+  return budget;
+}
+
+/// Prepare an attempt's solve context; under an epoch solve budget the
+/// attempt is granted `granted` seconds from `start` through its token.
+void ServingRun::prepare(AttemptSolve& a, const Solver& solver, double start,
+                         double granted) {
+  a.ctx = solveCtx_;
+  if (!epochHints_.machineEnergyCaps.empty() &&
+      solver.capabilities().availabilityAware) {
+    a.ctx.availability = &epochHints_;
+  }
+  if (!limited_) return;
+  a.start = start;
+  a.granted = granted;
+  if (granted > 0.0) {
+    a.token = std::make_unique<CancelToken>(granted, options_.clock);
+    a.ctx.cancel = a.token.get();
+  }
+}
+
+/// Solve the epoch through the attempt chain: the primary, then — if it
+/// fails in a guarded run — each fallback-chain entry in order. A throw, an
+/// injected failure, a solve-budget timeout or a validator rejection fails
+/// an attempt; if every attempt fails, the epoch serves an empty schedule
+/// rather than an infeasible one. An unguarded run is the primary attempt
+/// alone: its exceptions propagate and its schedule is not validated.
+IntegralSchedule ServingRun::schedule(const Instance& inst, long long epoch,
+                                      std::optional<AttemptSolve>& async) {
+  // The solve budget is shared by the whole chain and anchored at the
+  // moment the primary started — its submission time in async mode. Each
+  // attempt's token carries the *remaining* budget; once it is blown, later
+  // attempts run without a token (the chain must still serve the epoch,
+  // and the blowout is already on the incident log).
+  const double chainStart = !limited_ ? 0.0 : async ? async->start : now();
+  const double chainDeadline = chainStart + options_.epochTimeLimitSeconds;
+  // depth 0 = the primary, depth k = the k-th fallback attempt. Injected
+  // failures fail every attempt below the trace's injectFailureDepth; real
+  // exceptions are logged for the primary only.
+  const auto attempt = [&](const Solver& solver,
+                           int depth) -> std::optional<IntegralSchedule> {
+    if (faults_.policyFailureInjected(epoch) &&
+        depth < faults_.injectFailureDepth()) {
+      ++stats_.policyFailures;
+      incident(epoch, IncidentKind::kPolicyFailure, depth);
+      return std::nullopt;
+    }
+    const bool onPipeline = depth == 0 && async.has_value();
+    std::optional<AttemptSolve> local;
+    AttemptSolve& a = onPipeline ? *async : local.emplace();
+    if (!onPipeline) {
+      const double start = limited_ ? now() : 0.0;
+      prepare(a, solver, start, chainDeadline - start);
+    }
+    std::optional<IntegralSchedule> s;
+    bool cancelled = false;
+    try {
+      SolveOutcome outcome =
+          onPipeline ? a.fut.get() : solver.solve(inst, a.ctx);
+      lpTotals_.add(outcome.lpCounters);
+      if (depth == 0) noteShard(epoch);
+      cancelled = outcome.cancelled();
+      if (!cancelled) {
+        DSCT_CHECK_MSG(outcome.schedule.has_value(),
+                       "solver '" << solver.name()
+                                  << "' returned no integral schedule");
+        s = std::move(*outcome.schedule);
+      }
+    } catch (const std::exception&) {
+      if (!guarded_) throw;
+      if (depth == 0) {
+        ++stats_.policyFailures;
+        incident(epoch, IncidentKind::kPolicyFailure);
+      }
+      return std::nullopt;
+    }
+    // A timeout: the solver observed its token and stopped early, or — for
+    // slow non-cooperative spans — ran past its granted budget post hoc.
+    // Attempts without a token are never flagged.
+    const double elapsed = limited_ ? now() - a.start : 0.0;
+    if (cancelled || (a.token != nullptr && elapsed > a.granted)) {
+      if (depth == 0) ++stats_.policyFailures;
+      ++stats_.policyTimeouts;
+      incident(epoch, IncidentKind::kPolicyTimeout, elapsed, depth);
+      return std::nullopt;
+    }
+    if (guarded_ && !validate(inst, *s).feasible) {
+      ++stats_.validatorRejections;
+      incident(epoch, IncidentKind::kValidatorReject);
+      return std::nullopt;
+    }
+    return s;
+  };
+
+  std::optional<IntegralSchedule> s = attempt(*primary_, 0);
+  if (!s.has_value()) {
+    int depth = 1;
+    for (const Solver* fb : chain_) {
+      // A chain entry equal to the primary would just repeat the failed
+      // attempt (under the default chain: edf3 does not fall back to
+      // itself). Sharded runs compare against the inner solver — an
+      // unsharded retry of the same algorithm is the same failed attempt.
+      if (fb == basePrimary_) continue;
+      s = attempt(*fb, depth++);
+      if (s.has_value()) {
+        ++stats_.fallbacks;
+        incident(epoch, IncidentKind::kFallbackEngaged);
+        break;
+      }
+    }
+  }
+  if (!s.has_value()) {
+    ++stats_.fallbacks;
+    incident(epoch, IncidentKind::kEmptySchedule);
+    const auto n = static_cast<std::size_t>(inst.numTasks());
+    s = IntegralSchedule::build(inst, std::vector<int>(n, -1),
+                                std::vector<double>(n, 0.0));
+  }
+  return *std::move(s);
+}
+
+/// Run a plan on the simulated cluster under the epoch's faults and battery
+/// cuts, credit the executed FLOPs to its batch, drain the batteries and
+/// retire the batch; the requests it carries go to the front of the
+/// in-flight set.
+void ServingRun::execute(EpochPlan& plan) {
+  const std::vector<Machine>& present = plan.inst.machines();
+  FaultContext ctx;
+  if (faults_.enabled()) {
+    ctx.trace = &faults_;
+    ctx.timeOffset = plan.epochStart;
+    ctx.machineMap = plan.fleet;
+  }
+  // Battery discounting: a machine whose store cannot cover the energy of
+  // its assigned timeline is cut at the instant the store runs dry — the
+  // same semantics as a crash, so the residual spills through the retry
+  // path. Machines within their charge keep the exact unfaulted execution
+  // (empty cut vector, +inf cuts elsewhere).
+  if (battery_.active()) {
+    std::vector<double> cuts(present.size(), kUnlimited);
+    int exhaustedHere = 0;
+    for (std::size_t i = 0; i < present.size(); ++i) {
+      const double power = present[i].power();
+      double assignedSeconds = 0.0;
+      for (const ScheduledTask& e :
+           plan.sched.timeline(static_cast<int>(i))) {
+        assignedSeconds += e.duration;
+      }
+      const double charge = battery_.charge(plan.fleet[i]);
+      if (assignedSeconds * power > charge + 1e-9) {
+        cuts[i] = power > 0.0 ? charge / power : kUnlimited;
+        ++exhaustedHere;
+      }
+    }
+    if (exhaustedHere > 0) {
+      ctx.energyCutSeconds = std::move(cuts);
+      stats_.batteryExhaustions += exhaustedHere;
+      incident(plan.epoch, IncidentKind::kBatteryExhausted, exhaustedHere);
+    }
+  }
+  const ExecutionResult exec =
+      executeSchedule(plan.inst, plan.sched, CommModel{}, ctx);
+  if (battery_.active()) {
+    // Drain by the energy actually consumed (busy seconds × power), which a
+    // cut bounds at the machine's stored charge up to rounding.
+    for (std::size_t i = 0; i < present.size(); ++i) {
+      battery_.drain(plan.fleet[i],
+                     exec.machineBusySeconds[i] * present[i].power());
+    }
+  }
+
+  stats_.totalEnergy += exec.totalEnergy;
+  for (int j = 0; j < plan.inst.numTasks(); ++j) {
+    const TaskExecution& te = exec.executions[static_cast<std::size_t>(j)];
+    Active& req = plan.batch[plan.order[static_cast<std::size_t>(j)]];
+    if (te.executed && te.flops > 0.0) {
+      req.flopsDone += te.flops;
+      req.lastFinish = plan.epochEnd + te.finish;
+    }
+    if (te.interrupted) {
+      req.interrupted = true;
+      ++req.retryCount;
+      ++stats_.interruptions;
+    }
+    if (!te.deadlineMet) {
+      ++stats_.deadlineMisses;
+      stats_.missPenalty += req.missPenalty;
+    }
+  }
+  std::vector<Active> carried = retire(std::move(plan.batch), plan.epochEnd);
+  active_.insert(active_.begin(), std::make_move_iterator(carried.begin()),
+                 std::make_move_iterator(carried.end()));
+}
+
+/// Finalize a batch's requests, except those that carry into the next
+/// epoch: with carry-over, requests that still have usable time next epoch
+/// and accuracy headroom; interrupted requests additionally re-enter until
+/// their retry budget is exhausted. Returns the carried requests.
+std::vector<Active> ServingRun::retire(std::vector<Active> batch,
+                                       double epochEnd) {
+  const bool nextEpochRuns =
+      epochEnd + options_.epochSeconds < options_.horizonSeconds;
+  // Battery exhaustion spills through the same retry path as crashes (the
+  // executor flags cut tasks `interrupted` either way); both share
+  // options.faults.maxRetries.
+  const bool retryPathActive = faults_.enabled() || battery_.active();
+  std::vector<Active> carried;
+  for (Active& req : batch) {
+    const bool complete = req.flopsDone >= req.accuracy.fmax() - 1e-9;
+    const bool hasTimeNextEpoch =
+        req.absoluteDeadline > epochEnd + options_.epochSeconds;
+    const bool carryNormal = options_.carryBacklog && !complete &&
+                             hasTimeNextEpoch && nextEpochRuns;
+    const bool carryRetry = retryPathActive && req.interrupted && !complete &&
+                            hasTimeNextEpoch && nextEpochRuns &&
+                            req.retryCount <= options_.faults.maxRetries;
+    if (carryNormal || carryRetry) {
+      if (req.interrupted) {
+        ++stats_.retries;
+        req.interrupted = false;
+      }
+      carried.push_back(std::move(req));
+    } else {
+      if (req.interrupted && !complete && hasTimeNextEpoch &&
+          nextEpochRuns && req.retryCount > options_.faults.maxRetries) {
+        ++stats_.abandoned;
+      }
+      finalize(req);
+    }
+  }
+  return carried;
+}
+
+void ServingRun::finalize(const Active& req) {
+  ++stats_.requests;
+  accuracySum_ += req.accuracy.value(req.flopsDone);
+  if (req.flopsDone > 0.0) {
+    ++stats_.served;
+    latencySum_ += req.lastFinish - req.arrival;
+  } else if (!options_.requestTrace.empty() &&
+             req.absoluteDeadline <= options_.horizonSeconds) {
+    // SLA accounting for supplied traces: a request whose deadline expired
+    // inside the horizon without receiving any service missed its SLA. The
+    // generator path keeps its executed-late-only semantics.
+    ++stats_.deadlineMisses;
+    stats_.missPenalty += req.missPenalty;
+  }
+}
+
+/// Fold the coordinator's stats of a sharded primary solve into the run
+/// totals; a price loop that hit its cap outside the budget tolerance is
+/// logged with the accepted λ.
+void ServingRun::noteShard(long long epoch) {
+  if (shardedPrimary_ == nullptr) return;
+  const shard::ShardStats& ss = shardedPrimary_->lastStats();
+  ++stats_.shardedEpochs;
+  stats_.shardPriceIterations += ss.priceIterations;
+  stats_.shardTopUpCells += ss.topUpCells;
+  stats_.shardTopUpEnergy += ss.topUpEnergy;
+  if (!ss.converged) {
+    ++stats_.shardPriceDivergences;
+    incident(epoch, IncidentKind::kShardPriceDiverged, ss.finalPrice);
+  }
 }
 
 }  // namespace
 
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
-                        const ServingOptions& options) {
-  return runServingImpl(machines, policy, options, [&options](double, double) {
-    return options.energyBudgetPerEpoch;
-  });
-}
-
-ServingStats runServing(const std::vector<Machine>& machines,
-                        const std::string& policy,
                         const ServingOptions& options,
-                        const PowerTrace& supply) {
-  return runServingImpl(machines, policy, options,
-                        [&supply](double epochStart, double epochEnd) {
-                          return supply.energyBetween(epochStart, epochEnd);
-                        });
-}
-
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options) {
-  return runServing(machines, std::string(policyName(policy)), options);
-}
-
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options,
-                        const PowerTrace& supply) {
-  return runServing(machines, std::string(policyName(policy)), options, supply);
+                        const PowerTrace* supply) {
+  return ServingRun(machines, policy, options, supply).run();
 }
 
 }  // namespace dsct::sim

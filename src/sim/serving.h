@@ -1,10 +1,11 @@
 // Online MLaaS serving driver.
 //
-// Simulates an inference service: requests arrive as a Poisson process, each
-// with a task efficiency θ and a relative deadline; every `epoch` seconds
-// the pending batch is scheduled by a pluggable policy under a per-epoch
-// energy budget and executed on the simulated cluster. This is the
-// "cloud inference service" substrate motivating the paper's problem.
+// Simulates an inference service: requests arrive from a supplied trace,
+// explicit arrival times or a Poisson process, each with a task efficiency θ
+// and a relative deadline; every `epoch` seconds the pending batch is
+// scheduled by a registry solver under a per-epoch energy budget and
+// executed on the simulated cluster. This is the "cloud inference service"
+// substrate motivating the paper's problem.
 #pragma once
 
 #include <cstddef>
@@ -19,19 +20,6 @@
 #include "util/cancel.h"
 
 namespace dsct::sim {
-
-/// Legacy policy selector; each value maps onto a registry solver name via
-/// policyName(). New policies need no enum entry — pass any registered,
-/// integral-capable solver name to the string overloads of runServing.
-enum class Policy {
-  kApprox,            ///< DSCT-EA-APPROX (the paper's algorithm)
-  kEdfNoCompression,  ///< EDF, full models only
-  kEdfLevels,         ///< EDF with 3 discrete compression levels
-};
-
-const char* toString(Policy policy);
-/// Registry name of the solver backing `policy` ("approx", "edf", "edf3").
-const char* policyName(Policy policy);
 
 /// One externally supplied serving request: arrival time plus the
 /// per-request attributes the driver would otherwise draw from its own RNG.
@@ -51,8 +39,8 @@ struct RequestSpec {
 
 struct ServingOptions {
   double arrivalRatePerSecond = 20.0;
-  /// Explicit arrival times (seconds, ascending, < horizon); when non-empty
-  /// they replace the internally generated Poisson stream — use with
+  /// Explicit arrival times (seconds, ascending); when non-empty they
+  /// replace the internally generated Poisson stream — use with
   /// ArrivalProcess::diurnal for day/night load shapes.
   std::vector<double> arrivalTimes;
   /// Fully specified request trace (ascending arrivals). When non-empty it
@@ -82,16 +70,14 @@ struct ServingOptions {
   std::uint64_t seed = 1;
 
   /// Fault injection (crashes, stragglers, budget shocks) and the retry
-  /// budget for interrupted requests. When `faults.enabled` is false the
-  /// driver takes the exact pre-fault code path (regression-pinned).
+  /// budget for interrupted requests; off by default.
   FaultOptions faults;
   /// Availability layer (DESIGN.md §15): seeded departure/return windows
   /// exclude machines from whole epochs, and a per-machine battery drains
   /// with executed work and recharges at a fixed rate — capping the epoch
   /// budget at the fleet's stored energy and cutting machines that run dry
   /// (the residual spills through the faults retry/backlog path, bounded by
-  /// faults.maxRetries). When `availability.enabled` is false the driver
-  /// takes the exact pre-availability code path (regression-pinned).
+  /// faults.maxRetries). Off by default.
   AvailabilityOptions availability;
   /// Admission control: when > 0, at most ceil(admissionLoadFactor × alive
   /// machines) requests enter an epoch's batch; the excess requests with the
@@ -103,7 +89,7 @@ struct ServingOptions {
   /// (s). Every attempt receives a CancelToken carrying the *remaining*
   /// budget, polled cooperatively inside the solvers, so a deadline-missing
   /// solve is stopped mid-solve instead of discarded post-hoc. Once the
-  /// budget is blown, later fallback attempts run unguarded — the chain
+  /// budget is blown, later fallback attempts run without a token — the chain
   /// must still serve the epoch, and the blowout is already on the incident
   /// log. <= 0 (default) disables the budget. Deterministic under an
   /// injected `clock`; with the default steady clock it is wall-clock based
@@ -116,8 +102,8 @@ struct ServingOptions {
   /// results are bit-identical to synchronous serving for deterministic
   /// policies; only the wall-clock overlap differs. Overlap is suppressed
   /// (solves still run on the background thread, without pipelining) when
-  /// execution feeds back into the next epoch's batch: backlog carry-over,
-  /// fault injection, or admission control.
+  /// execution feeds back into later epochs: backlog carry-over, faults,
+  /// availability or admission control.
   bool asyncServing = false;
   /// Clock used for the epoch solve budget (seconds, monotonic). Empty uses
   /// std::chrono::steady_clock. An injected clock must be callable from the
@@ -129,27 +115,25 @@ struct ServingOptions {
   /// a guarded run, each chain entry is attempted in order — skipping
   /// entries equal to the primary — and the first feasible schedule serves
   /// the epoch; if every entry fails the epoch serves an empty schedule.
-  /// The default single-entry chain reproduces the historical hardcoded
-  /// EDF-3-levels demotion bit-identically. Every entry must name a
-  /// registered solver with the `integral` capability.
+  /// Every entry must name a registered solver with the `integral`
+  /// capability.
   std::vector<std::string> fallbackChain{"edf3"};
   /// Run the feasibility validator on every epoch's schedule and fall back
-  /// when it rejects. Implied by faults.enabled; off by default to keep the
-  /// default path bit-identical to the pre-fault driver.
+  /// when it rejects. Implied by faults.enabled and epochTimeLimitSeconds.
   bool validateEpochs = false;
   /// Carry a cross-solve ProfileCache (sched/profile_cache.h) across the
-  /// run's epochs, so FR-OPT re-solves of an already-seen (instance,
-  /// machine-state) pair reuse earlier evaluations. kApprox only; the cache
-  /// key fingerprints the whole epoch instance, so crashes (alive-machine
-  /// replans) and budget shocks can never serve stale answers. Results are
-  /// bit-identical with the cache on or off (pinned by
+  /// run's epochs for solvers with the `usesProfileCache` capability, so
+  /// FR-OPT re-solves of an already-seen (instance, machine-state) pair reuse
+  /// earlier evaluations. The cache key fingerprints the whole epoch
+  /// instance, so crashes and budget shocks never serve stale answers.
+  /// Results are bit-identical with the cache on or off (pinned by
   /// tests/serving_backlog_test.cpp); only the work differs.
   bool crossSolveCache = true;
   /// Run FR-OPT's batch evaluations on a worker pool whose workers read the
   /// sharded cross-solve cache concurrently; writes stay single-threaded and
   /// index-ordered inside the evaluator's commit phase, so serving results
   /// are bit-identical with this flag on or off (pinned by
-  /// tests/serving_backlog_test.cpp). kApprox only.
+  /// tests/serving_backlog_test.cpp). For `usesThreadPool` solvers.
   bool parallelCachedEval = false;
   /// Worker threads for parallelCachedEval; 0 means hardware concurrency.
   std::size_t solverThreads = 0;
@@ -199,8 +183,7 @@ struct EpochIncident {
   IncidentKind kind = IncidentKind::kPolicyFailure;
   /// Kind-specific payload:
   ///  - kPolicyFailure: attempt depth (0 = primary, k > 0 = k-th fallback);
-  ///  - kPolicyTimeout: the attempt's elapsed solve seconds (NOT 0 — this
-  ///    was previously misdocumented);
+  ///  - kPolicyTimeout: the attempt's elapsed solve seconds;
   ///  - kBudgetShock: the budget shock factor;
   ///  - kAdmissionShed: number of requests shed;
   ///  - kMachineDeparted: number of machines departed this epoch;
@@ -264,7 +247,7 @@ struct ServingStats {
   std::vector<EpochIncident> incidents;
 
   // Cross-solve ProfileCache traffic over the whole run (all zero when
-  // ServingOptions::crossSolveCache is off or the policy is not kApprox).
+  // ServingOptions::crossSolveCache is off or no solver uses the cache).
   long long profileCacheHits = 0;
   long long profileCacheMisses = 0;
   long long profileCacheInvalidations = 0;
@@ -285,30 +268,19 @@ struct ServingStats {
   long long lpWarmStartsRejected = 0;  ///< stale fingerprint/shape: cold solve
 };
 
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options);
-
-/// Registry-name overload: `policy` may be any solver registered in
-/// core/solver_registry.h that has the `integral` capability ("approx",
-/// "edf", "edf3", "levels-opt", "mip-warm", ... — see `dsct_cli solvers`).
-ServingStats runServing(const std::vector<Machine>& machines,
-                        const std::string& policy,
-                        const ServingOptions& options);
-
 class PowerTrace;
 
-/// Renewable-powered serving (paper Section 7, future work): each epoch's
-/// energy budget is the energy the power trace supplies during that epoch
-/// (options.energyBudgetPerEpoch is ignored). Unused energy is not stored —
-/// a batteryless deployment; adding storage is a one-line change in the
-/// budget accounting and deliberately left to the caller.
-ServingStats runServing(const std::vector<Machine>& machines, Policy policy,
-                        const ServingOptions& options,
-                        const PowerTrace& supply);
-
+/// Serve `options`' request stream with `policy`, any solver registered in
+/// core/solver_registry.h that has the `integral` capability ("approx",
+/// "edf", "edf3", "levels-opt", "mip-warm", ... — see `dsct_cli solvers`).
+///
+/// Each epoch's energy budget is options.energyBudgetPerEpoch, or — with a
+/// `supply` trace (renewable-powered serving, paper Section 7) — the energy
+/// the trace supplies during that epoch. Unused supply is not stored: a
+/// batteryless deployment.
 ServingStats runServing(const std::vector<Machine>& machines,
                         const std::string& policy,
                         const ServingOptions& options,
-                        const PowerTrace& supply);
+                        const PowerTrace* supply = nullptr);
 
 }  // namespace dsct::sim

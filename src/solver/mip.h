@@ -49,9 +49,9 @@ struct MipResult {
   /// Summed LP telemetry over every node (and root-dive) LP solve.
   LpCounters lpCounters;
   /// Basis of the root relaxation's optimal LP (empty when the root LP did
-  /// not reach optimality or the dense engine ran). Feed back through
-  /// MipOptions::lp.warmBasis to warm-start a structurally identical model —
-  /// e.g. the next serving epoch's instance after bound/RHS drift.
+  /// not reach optimality). Feed back through MipOptions::lp.warmBasis to
+  /// warm-start a structurally identical model — e.g. the next serving
+  /// epoch's instance after bound/RHS drift.
   LpBasis rootBasis;
   /// Relative gap |bound − objective| / max(1, |objective|).
   double gap() const;

@@ -39,7 +39,8 @@ namespace dsct::lp::detail {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Primal feasibility tolerance (matches the dense engine's kFeasTol).
+/// Primal feasibility tolerance (matches the dense tableau's kFeasTol in
+/// tests/dense_tableau_reference.h).
 constexpr double kFeasTol = 1e-7;
 /// Smallest |pivot| accepted when factorising a basic column.
 constexpr double kFactorPivotTol = 1e-11;

@@ -1,11 +1,10 @@
 // Internal entry point of the sparse bounded-variable revised simplex.
 //
-// Callers use solveLp / solveLpWithBounds (solver/simplex.h), which dispatch
-// here when LpOptions::engine == LpEngine::kRevised. The header exists so the
-// dispatcher and white-box tests can name the engine directly; everything
-// else about the engine (CSC storage, eta file, pricing) is file-local to
-// revised_simplex.cpp. DESIGN.md §17 documents the data structures and the
-// warm-start contract.
+// Callers use solveLp / solveLpWithBounds (solver/simplex.h), which forward
+// here. The header exists so the forwarder and white-box tests can name the
+// engine directly; everything else about the engine (CSC storage, eta file,
+// pricing) is file-local to revised_simplex.cpp. DESIGN.md §17 documents
+// the data structures and the warm-start contract.
 #pragma once
 
 #include <span>

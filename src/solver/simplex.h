@@ -1,24 +1,19 @@
-// Linear-programming engines behind one entry point.
+// Linear programming: solveLp / solveLpWithBounds.
 //
-// Two interchangeable engines sit behind solveLp / solveLpWithBounds:
-//
-//  - kRevised (default): bounded-variable revised simplex with CSC sparse
-//    column storage, a product-form (eta-file) basis inverse with periodic
-//    refactorisation, Dantzig + partial pricing, and explicit lower/upper
-//    variable bounds — box constraints like the relaxation's 0 ≤ z ≤ 1 are
-//    handled as bounds, not rows. Supports warm starts from a saved LpBasis
-//    (cross-epoch serving, branch-and-bound node inheritance).
-//
-//  - kDense: the original dense two-phase tableau. Kept behind this flag as
-//    the differential reference for the LP test battery
-//    (tests/solver_lp_differential_test.cpp); it ignores warm bases.
-//
-// Both engines handle arbitrary bounds (finite/infinite/free/fixed), all row
-// senses, row equilibration for badly scaled models, and anti-cycling by
-// switching from Dantzig pricing to Bland's rule after a pivot-count
-// threshold. This layer is the stand-in for the paper's commercial LP/MIP
-// solver; its role in the reproduction is correctness at small-to-medium
-// sizes plus honest time-limit behaviour at large sizes (Fig. 4, Table 1).
+// The engine is a bounded-variable revised simplex with CSC sparse column
+// storage, a product-form (eta-file) basis inverse with periodic
+// refactorisation, Dantzig + partial pricing, and explicit lower/upper
+// variable bounds — box constraints like the relaxation's 0 ≤ z ≤ 1 are
+// handled as bounds, not rows. It supports warm starts from a saved LpBasis
+// (cross-epoch serving, branch-and-bound node inheritance), handles
+// arbitrary bounds (finite/infinite/free/fixed), all row senses and row
+// equilibration for badly scaled models, and avoids cycling by switching
+// from Dantzig pricing to Bland's rule after a pivot-count threshold. The
+// dense two-phase tableau it replaced survives only as the test oracle
+// tests/dense_tableau_reference.h. This layer is the stand-in for the
+// paper's commercial LP/MIP solver; its role in the reproduction is
+// correctness at small-to-medium sizes plus honest time-limit behaviour at
+// large sizes (Fig. 4, Table 1).
 #pragma once
 
 #include <cstdint>
@@ -40,12 +35,7 @@ enum class SolveStatus {
 
 const char* toString(SolveStatus status);
 
-enum class LpEngine {
-  kRevised,  ///< sparse bounded-variable revised simplex (default)
-  kDense,    ///< dense two-phase tableau (differential reference)
-};
-
-/// Per-column basis status in the revised engine's column space: the model's
+/// Per-column basis status in the engine's column space: the model's
 /// structural variables first, then one logical (slack/surplus) column per
 /// constraint row.
 enum class BasisStatus : std::uint8_t {
@@ -104,17 +94,14 @@ struct LpOptions {
   /// pivots (and between columns inside a refactorisation). A stop reads as
   /// kTimeLimit with `cancelled` set on the result.
   const dsct::CancelToken* cancel = nullptr;
-  /// Which engine solves the LP. The dense tableau is retained for one
-  /// release as the differential reference.
-  LpEngine engine = LpEngine::kRevised;
-  /// Optional starting basis (revised engine only; the dense engine ignores
-  /// it). Must outlive the solve. A snapshot that does not fit the model's
-  /// shape is rejected (counted in LpCounters::warmStartsRejected) and the
-  /// solve falls back to the cold all-logical start — a warm basis can never
-  /// change the reported optimum, only the pivot path to it.
+  /// Optional starting basis. Must outlive the solve. A snapshot that does
+  /// not fit the model's shape is rejected (counted in
+  /// LpCounters::warmStartsRejected) and the solve falls back to the cold
+  /// all-logical start — a warm basis can never change the reported optimum,
+  /// only the pivot path to it.
   const LpBasis* warmBasis = nullptr;
-  /// Refactorise the eta file every this many pivots (revised engine);
-  /// <= 0 means the built-in default (64).
+  /// Refactorise the eta file every this many pivots; <= 0 means the
+  /// built-in default (64).
   int refactorInterval = 0;
 };
 
@@ -132,11 +119,10 @@ struct LpResult {
   std::vector<double> duals;
   long iterations = 0;
   double solveSeconds = 0.0;
-  /// Final basis snapshot; populated on kOptimal by the revised engine
-  /// (empty from the dense engine). Feed back via LpOptions::warmBasis.
+  /// Final basis snapshot, populated on kOptimal. Feed back via
+  /// LpOptions::warmBasis.
   LpBasis basis;
-  /// Pivot/refactorisation/warm-start telemetry (dense engine fills only
-  /// `pivots`).
+  /// Pivot/refactorisation/warm-start telemetry.
   LpCounters counters;
 };
 

@@ -76,7 +76,9 @@ double ArrivalProcess::rateAt(double t) const {
 
 std::vector<double> ArrivalProcess::sample(double horizonSeconds,
                                            Rng& rng) const {
-  DSCT_CHECK(horizonSeconds >= 0.0);
+  DSCT_CHECK_MSG(std::isfinite(horizonSeconds) && horizonSeconds >= 0.0,
+                 "arrival horizon must be finite and >= 0, got "
+                     << horizonSeconds);
   if (kind_ == Kind::kMmpp) return sampleMmpp(horizonSeconds, rng);
   std::vector<double> arrivals;
   // Thinning: draw a homogeneous Poisson at the max rate and accept each

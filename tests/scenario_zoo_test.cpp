@@ -1,7 +1,8 @@
 // Smoke loop over the shipped scenario zoo (scenarios/*.dsct): every file
 // must parse, materialise, and — horizon-clamped so the battery stays fast —
-// serve end-to-end under its own policy. The million-task stress file is
-// additionally pinned to materialise its full ~1M-request trace.
+// serve end-to-end under its own policy, identically with async serving on.
+// The million-task stress file is additionally pinned to materialise its
+// full ~1M-request trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +11,14 @@
 #include <vector>
 
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "workload/scenario.h"
 
 namespace dsct {
 namespace {
+
+using testing::expectSameServing;
+using testing::withoutAsyncEpochs;
 
 std::vector<std::filesystem::path> zooFiles() {
   std::vector<std::filesystem::path> files;
@@ -55,13 +60,20 @@ TEST(ScenarioZoo, EveryFileServesEndToEnd) {
     // the stress file serves a short prefix instead of its full 200 s.
     sc.serving.horizonSeconds = std::min(sc.serving.horizonSeconds, 2.0);
     const std::vector<Machine> machines = materializeMachines(sc);
-    const sim::ServingOptions options = makeServingOptions(sc);
+    sim::ServingOptions options = makeServingOptions(sc);
     const sim::ServingStats stats =
         sim::runServing(machines, sc.serving.policy, options);
     EXPECT_EQ(static_cast<std::size_t>(stats.requests),
               options.requestTrace.size());
     EXPECT_GT(stats.epochs, 0);
     EXPECT_GE(stats.missPenalty, 0.0);
+    // The async pipeline solves every epoch that has a machine to solve for
+    // and changes nothing else, request trace and all.
+    options.asyncServing = true;
+    const sim::ServingStats async =
+        sim::runServing(machines, sc.serving.policy, options);
+    EXPECT_EQ(async.asyncEpochs, async.epochs - async.noMachineEpochs);
+    expectSameServing(stats, withoutAsyncEpochs(async));
   }
 }
 

@@ -2,7 +2,8 @@
 // async-off stays bit-identical to the synchronous driver, a deadline-missing
 // primary is cancelled mid-solve (not discarded post hoc), fallbacks receive
 // the remaining epoch budget, and the incident log records timeouts with
-// their attempt depth and elapsed seconds.
+// their attempt depth and elapsed seconds. An unguarded run, sync or async,
+// propagates a solver exception and executes its schedule unvalidated.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,11 +17,15 @@
 #include "core/solver_registry.h"
 #include "sched/schedule.h"
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "util/cancel.h"
 #include "workload/gpu_catalog.h"
 
 namespace dsct {
 namespace {
+
+using testing::expectSameServing;
+using testing::withoutAsyncEpochs;
 
 // Shared fake clock, advanced only by the test solvers below. Atomic so the
 // async pipeline thread and the driver can read it concurrently; all steps
@@ -50,6 +55,9 @@ IntegralSchedule emptySchedule(const Instance& inst) {
 //    schedule immediately.
 //  - test-burn-throw: burns 1/32 s of fake-clock time, then throws — a
 //    primary that fails after consuming half of a 1/16 s epoch budget.
+//  - test-late: stacks every task on machine 0 for its whole relative
+//    deadline — a schedule that misses deadlines and overdraws the budget,
+//    which the validator rejects.
 void registerTestSolvers() {
   static const bool once = [] {
     SolverCapabilities caps;
@@ -74,6 +82,19 @@ void registerTestSolvers() {
           advanceClock(1.0 / 32.0);
           throw std::runtime_error("injected solver failure");
         }));
+    SolverRegistry::instance().add(makeSolver(
+        "test-late", "Stacks every task on one machine", caps,
+        [](const Instance& inst, const SolveContext&) {
+          const auto n = static_cast<std::size_t>(inst.numTasks());
+          std::vector<double> durations(n);
+          for (std::size_t j = 0; j < n; ++j) {
+            durations[j] = inst.task(static_cast<int>(j)).deadline;
+          }
+          SolveOutcome out;
+          out.schedule = IntegralSchedule::build(
+              inst, std::vector<int>(n, 0), std::move(durations));
+          return out;
+        }));
     return true;
   }();
   (void)once;
@@ -89,30 +110,6 @@ sim::ServingOptions baseOptions() {
   o.energyBudgetPerEpoch = 40.0;
   o.seed = 20240807;
   return o;
-}
-
-void expectStatsEqual(const sim::ServingStats& a, const sim::ServingStats& b) {
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
-  EXPECT_DOUBLE_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_DOUBLE_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.interruptions, b.interruptions);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.abandoned, b.abandoned);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.policyFailures, b.policyFailures);
-  EXPECT_EQ(a.policyTimeouts, b.policyTimeouts);
-  EXPECT_EQ(a.validatorRejections, b.validatorRejections);
-  EXPECT_EQ(a.budgetShockEpochs, b.budgetShockEpochs);
-  EXPECT_EQ(a.noMachineEpochs, b.noMachineEpochs);
-  EXPECT_EQ(a.incidents, b.incidents);
-  EXPECT_EQ(a.profileCacheHits, b.profileCacheHits);
-  EXPECT_EQ(a.profileCacheMisses, b.profileCacheMisses);
-  EXPECT_EQ(a.profileCacheInvalidations, b.profileCacheInvalidations);
 }
 
 Instance tinyInstance() {
@@ -170,7 +167,7 @@ TEST(AsyncServing, DefaultPathMatchesSync) {
   asyncOptions.asyncServing = true;
   const auto async =
       sim::runServing(machines, std::string("approx"), asyncOptions);
-  expectStatsEqual(sync, async);
+  expectSameServing(sync, withoutAsyncEpochs(async));
   EXPECT_EQ(sync.asyncEpochs, 0);
   EXPECT_EQ(async.asyncEpochs, async.epochs);
 }
@@ -185,7 +182,7 @@ TEST(AsyncServing, BacklogPathMatchesSync) {
   const auto sync = sim::runServing(machines, std::string("approx"), options);
   options.asyncServing = true;
   const auto async = sim::runServing(machines, std::string("approx"), options);
-  expectStatsEqual(sync, async);
+  expectSameServing(sync, withoutAsyncEpochs(async));
   EXPECT_EQ(async.asyncEpochs, async.epochs);
 }
 
@@ -198,7 +195,23 @@ TEST(AsyncServing, GuardedValidatedPathMatchesSync) {
   const auto sync = sim::runServing(machines, std::string("edf3"), options);
   options.asyncServing = true;
   const auto async = sim::runServing(machines, std::string("edf3"), options);
-  expectStatsEqual(sync, async);
+  expectSameServing(sync, withoutAsyncEpochs(async));
+  EXPECT_EQ(async.asyncEpochs, async.epochs);
+}
+
+// Admission control feeds execution back into the next batch, so async
+// serving keeps the solves on the pipeline thread without the overlap; the
+// shed requests and their incidents match the synchronous run.
+TEST(AsyncServing, AdmissionShedPathMatchesSync) {
+  const auto machines = machinesFromCatalog({"T4"});
+  auto options = baseOptions();
+  options.arrivalRatePerSecond = 40.0;
+  options.admissionLoadFactor = 3.0;
+  const auto sync = sim::runServing(machines, std::string("approx"), options);
+  options.asyncServing = true;
+  const auto async = sim::runServing(machines, std::string("approx"), options);
+  expectSameServing(sync, withoutAsyncEpochs(async));
+  EXPECT_GT(async.shed, 0);
   EXPECT_EQ(async.asyncEpochs, async.epochs);
 }
 
@@ -283,6 +296,74 @@ TEST(AsyncServing, FallbacksReceiveRemainingBudget) {
     EXPECT_DOUBLE_EQ(inc[1].value, 1.0 / 32.0);  // the remaining budget
     EXPECT_EQ(inc[1].depth, 1);                  // first fallback attempt
     EXPECT_EQ(inc[2].kind, sim::IncidentKind::kFallbackEngaged);
+  }
+}
+
+// A guarded run (here: the validator alone, no solve budget) absorbs a
+// primary exception — in async mode one rethrown from the pipeline's future
+// — and serves every epoch from the fallback chain.
+TEST(AsyncServing, GuardedPrimaryExceptionFallsBack) {
+  registerTestSolvers();
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  auto options = baseOptions();
+  options.validateEpochs = true;
+  const auto sync = sim::runServing(machines, "test-burn-throw", options);
+  options.asyncServing = true;
+  const auto async = sim::runServing(machines, "test-burn-throw", options);
+  expectSameServing(sync, withoutAsyncEpochs(async));
+  ASSERT_GT(async.epochs, 0);
+  EXPECT_EQ(async.asyncEpochs, async.epochs);
+  EXPECT_EQ(async.policyFailures, async.epochs);
+  EXPECT_EQ(async.fallbacks, async.epochs);
+  EXPECT_EQ(async.policyTimeouts, 0);
+  EXPECT_GT(async.served, 0);
+  ASSERT_EQ(async.incidents.size(), static_cast<std::size_t>(2 * async.epochs));
+  for (std::size_t i = 0; i < async.incidents.size(); i += 2) {
+    EXPECT_EQ(async.incidents[i].kind, sim::IncidentKind::kPolicyFailure);
+    EXPECT_EQ(async.incidents[i + 1].kind,
+              sim::IncidentKind::kFallbackEngaged);
+  }
+}
+
+// An unguarded run (no faults, no validator, no solve budget) is the primary
+// attempt alone: a solver exception ends the run instead of engaging the
+// fallback chain.
+TEST(AsyncServing, UnguardedPrimaryExceptionPropagates) {
+  registerTestSolvers();
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  for (const bool asyncServing : {false, true}) {
+    SCOPED_TRACE(asyncServing ? "async" : "sync");
+    auto options = baseOptions();
+    options.asyncServing = asyncServing;
+    EXPECT_THROW(sim::runServing(machines, "test-burn-throw", options),
+                 std::runtime_error);
+  }
+}
+
+// ... and its schedule executes unvalidated, while validateEpochs makes the
+// same run reject it and demote every epoch to the fallback.
+TEST(AsyncServing, UnguardedScheduleExecutesUnvalidated) {
+  registerTestSolvers();
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  for (const bool asyncServing : {false, true}) {
+    SCOPED_TRACE(asyncServing ? "async" : "sync");
+    auto options = baseOptions();
+    options.asyncServing = asyncServing;
+    const auto unguarded = sim::runServing(machines, "test-late", options);
+    ASSERT_GT(unguarded.epochs, 0);
+    const double granted = options.energyBudgetPerEpoch * unguarded.epochs;
+    EXPECT_EQ(unguarded.validatorRejections, 0);
+    EXPECT_EQ(unguarded.fallbacks, 0);
+    EXPECT_TRUE(unguarded.incidents.empty());
+    EXPECT_GT(unguarded.deadlineMisses, 0);
+    EXPECT_GT(unguarded.totalEnergy, granted);
+
+    options.validateEpochs = true;
+    const auto validated = sim::runServing(machines, "test-late", options);
+    EXPECT_EQ(validated.epochs, unguarded.epochs);
+    EXPECT_EQ(validated.validatorRejections, validated.epochs);
+    EXPECT_EQ(validated.fallbacks, validated.epochs);
+    EXPECT_LE(validated.totalEnergy, granted * (1.0 + 1e-9));
   }
 }
 

@@ -5,11 +5,15 @@
 #include "accuracy/piecewise.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "util/check.h"
 #include "workload/gpu_catalog.h"
 
 namespace dsct {
 namespace {
+
+using testing::expectSameServing;
+using testing::withoutCacheTraffic;
 
 PiecewiseLinearAccuracy sample() {
   return PiecewiseLinearAccuracy::fromPoints({0.0, 1.0, 2.0, 4.0},
@@ -79,11 +83,9 @@ TEST(BacklogServing, CarryOverNeverHurtsAndUsuallyHelps) {
   options.thetaHi = 0.5;  // expensive tasks
   options.seed = 17;
   options.carryBacklog = false;
-  const auto oneShot =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto oneShot = sim::runServing(machines, "approx", options);
   options.carryBacklog = true;
-  const auto carried =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto carried = sim::runServing(machines, "approx", options);
   EXPECT_EQ(oneShot.requests, carried.requests);
   EXPECT_GT(carried.meanAccuracy, oneShot.meanAccuracy);
 }
@@ -99,8 +101,7 @@ TEST(BacklogServing, RequestCountsConserved) {
   options.energyBudgetPerEpoch = 30.0;
   options.seed = 23;
   options.carryBacklog = true;
-  const auto stats =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto stats = sim::runServing(machines, "approx", options);
   // Every arrival inside the horizon is finalized exactly once.
   EXPECT_GT(stats.requests, 0);
   EXPECT_LE(stats.served, stats.requests);
@@ -114,34 +115,10 @@ TEST(BacklogServing, DeterministicWithSeed) {
   options.horizonSeconds = 2.0;
   options.carryBacklog = true;
   options.seed = 31;
-  const auto a = sim::runServing(machines, sim::Policy::kEdfLevels, options);
-  const auto b = sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto a = sim::runServing(machines, "edf3", options);
+  const auto b = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
-}
-
-/// Every externally observable field of two runs must match exactly —
-/// the cross-solve ProfileCache may only change how much work a run does,
-/// never what it computes.
-void expectBitIdentical(const sim::ServingStats& a,
-                        const sim::ServingStats& b) {
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-  EXPECT_EQ(a.meanAccuracy, b.meanAccuracy);  // bitwise, not NEAR
-  EXPECT_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.interruptions, b.interruptions);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.abandoned, b.abandoned);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.policyFailures, b.policyFailures);
-  EXPECT_EQ(a.validatorRejections, b.validatorRejections);
-  EXPECT_EQ(a.budgetShockEpochs, b.budgetShockEpochs);
-  EXPECT_EQ(a.noMachineEpochs, b.noMachineEpochs);
-  EXPECT_EQ(a.incidents, b.incidents);
 }
 
 TEST(CrossEpochCache, BitIdenticalWithAndWithoutCache) {
@@ -160,10 +137,10 @@ TEST(CrossEpochCache, BitIdenticalWithAndWithoutCache) {
   options.seed = 41;
   options.carryBacklog = true;
   options.crossSolveCache = true;
-  const auto cached = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto cached = sim::runServing(machines, "approx", options);
   options.crossSolveCache = false;
-  const auto fresh = sim::runServing(machines, sim::Policy::kApprox, options);
-  expectBitIdentical(cached, fresh);
+  const auto fresh = sim::runServing(machines, "approx", options);
+  expectSameServing(withoutCacheTraffic(cached), withoutCacheTraffic(fresh));
   // The cache must actually be in play on the enabled run and absent on the
   // disabled one.
   EXPECT_GT(cached.profileCacheMisses, 0);
@@ -196,10 +173,10 @@ TEST(CrossEpochCache, BitIdenticalUnderFaultTraces) {
   options.faults.maxRetries = 2;
   options.faults.injectPolicyFailureEpochs = {3};
   options.crossSolveCache = true;
-  const auto cached = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto cached = sim::runServing(machines, "approx", options);
   options.crossSolveCache = false;
-  const auto fresh = sim::runServing(machines, sim::Policy::kApprox, options);
-  expectBitIdentical(cached, fresh);
+  const auto fresh = sim::runServing(machines, "approx", options);
+  expectSameServing(withoutCacheTraffic(cached), withoutCacheTraffic(fresh));
   EXPECT_GT(cached.profileCacheMisses, 0);
   EXPECT_EQ(fresh.profileCacheMisses, 0);
 }
@@ -222,11 +199,10 @@ TEST(CrossEpochCache, BitIdenticalWithParallelCachedEval) {
   options.crossSolveCache = true;
   options.parallelCachedEval = true;
   options.solverThreads = 8;
-  const auto parallel =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto parallel = sim::runServing(machines, "approx", options);
   options.parallelCachedEval = false;
-  const auto serial = sim::runServing(machines, sim::Policy::kApprox, options);
-  expectBitIdentical(parallel, serial);
+  const auto serial = sim::runServing(machines, "approx", options);
+  expectSameServing(parallel, serial);
   EXPECT_EQ(parallel.profileCacheHits, serial.profileCacheHits);
   EXPECT_EQ(parallel.profileCacheMisses, serial.profileCacheMisses);
   EXPECT_EQ(parallel.profileCacheInvalidations,
@@ -242,8 +218,7 @@ TEST(CrossEpochCache, CountersZeroForNonApproxPolicies) {
   options.horizonSeconds = 2.0;
   options.seed = 47;
   options.crossSolveCache = true;
-  const auto stats =
-      sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto stats = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(stats.profileCacheHits, 0);
   EXPECT_EQ(stats.profileCacheMisses, 0);
   EXPECT_EQ(stats.profileCacheInvalidations, 0);
@@ -260,8 +235,7 @@ TEST(BacklogServing, WorksWithRenewableSupply) {
   options.carryBacklog = true;
   options.seed = 37;
   const sim::PowerTrace supply({0.0, 2.0}, {0.0, 120.0});
-  const auto stats =
-      sim::runServing(machines, sim::Policy::kApprox, options, supply);
+  const auto stats = sim::runServing(machines, "approx", options, &supply);
   // Requests arriving in the dark can still be served after power returns.
   EXPECT_GT(stats.served, 0);
   EXPECT_LE(stats.totalEnergy, supply.energyBetween(0.0, 4.0) + 1e-6);

@@ -3,17 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/faults.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "util/check.h"
 #include "workload/gpu_catalog.h"
 
 namespace dsct {
 namespace {
+
+using testing::expectSameServing;
+using testing::withoutAsyncEpochs;
 
 sim::ServingOptions referenceOptions() {
   sim::ServingOptions o;
@@ -27,34 +30,13 @@ sim::ServingOptions referenceOptions() {
   return o;
 }
 
-void expectStatsEqual(const sim::ServingStats& a, const sim::ServingStats& b) {
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
-  EXPECT_DOUBLE_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_DOUBLE_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.interruptions, b.interruptions);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.abandoned, b.abandoned);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.policyFailures, b.policyFailures);
-  EXPECT_EQ(a.validatorRejections, b.validatorRejections);
-  EXPECT_EQ(a.budgetShockEpochs, b.budgetShockEpochs);
-  EXPECT_EQ(a.noMachineEpochs, b.noMachineEpochs);
-  EXPECT_EQ(a.incidents, b.incidents);
-}
-
 // The pinned values below were captured from the pre-fault driver (commit
 // f247675) with the exact options of referenceOptions(); they guard the
 // acceptance criterion that the faults-disabled path stays bit-identical.
 
 TEST(ServingGolden, DefaultPathOneShotBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  const auto s =
-      sim::runServing(machines, sim::Policy::kApprox, referenceOptions());
+  const auto s = sim::runServing(machines, "approx", referenceOptions());
   EXPECT_EQ(s.requests, 99);
   EXPECT_EQ(s.served, 77);
   EXPECT_EQ(s.deadlineMisses, 0);
@@ -71,7 +53,7 @@ TEST(ServingGolden, DefaultPathBacklogBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
   options.carryBacklog = true;
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_EQ(s.requests, 99);
   EXPECT_EQ(s.served, 75);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.33395318251464207);
@@ -81,8 +63,7 @@ TEST(ServingGolden, DefaultPathBacklogBitIdentical) {
 
 TEST(ServingGolden, DefaultPathEdfLevelsBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  const auto s =
-      sim::runServing(machines, sim::Policy::kEdfLevels, referenceOptions());
+  const auto s = sim::runServing(machines, "edf3", referenceOptions());
   EXPECT_EQ(s.served, 31);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.15260606060606044);
   EXPECT_DOUBLE_EQ(s.totalEnergy, 387.78426112463819);
@@ -93,12 +74,55 @@ TEST(ServingGolden, DefaultPathRenewableBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const auto options = referenceOptions();
   const sim::PowerTrace supply({0.0, 2.0}, {30.0, 140.0});
-  const auto s =
-      sim::runServing(machines, sim::Policy::kApprox, options, supply);
+  const auto s = sim::runServing(machines, "approx", options, &supply);
   EXPECT_EQ(s.served, 75);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.34670914302531713);
   EXPECT_DOUBLE_EQ(s.totalEnergy, 479.99999999999994);
   EXPECT_DOUBLE_EQ(s.meanLatency, 0.36691141180828091);
+}
+
+// Generator path with caller-supplied arrival times: every request's
+// deadline and θ still come from the workload RNG, in arrival order. The
+// last epoch is [4.5, 5.0) under a 4.75 s horizon, so the arrival at 4.75
+// is admitted and counted, while the one at 5.25 never is.
+sim::ServingOptions explicitArrivalsOptions() {
+  auto options = referenceOptions();
+  options.horizonSeconds = 4.75;
+  options.carryBacklog = true;
+  for (int i = 0; i < 60; ++i) {
+    options.arrivalTimes.push_back(0.075 * i + 0.01 * (i % 3));
+  }
+  options.arrivalTimes.push_back(4.75);
+  options.arrivalTimes.push_back(5.25);
+  return options;
+}
+
+void expectExplicitArrivalsGolden(const sim::ServingStats& s) {
+  EXPECT_EQ(s.requests, 61);
+  EXPECT_EQ(s.served, 56);
+  EXPECT_EQ(s.deadlineMisses, 0);
+  EXPECT_EQ(s.epochs, 10);
+  EXPECT_EQ(s.meanAccuracy, 0.44134763362149548);
+  EXPECT_EQ(s.totalEnergy, 399.99999999999994);
+  EXPECT_EQ(s.meanLatency, 0.41089195574610843);
+  EXPECT_TRUE(s.incidents.empty());
+}
+
+TEST(ServingGolden, ExplicitArrivalsBacklogBitIdentical) {
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  const auto s = sim::runServing(machines, "approx", explicitArrivalsOptions());
+  expectExplicitArrivalsGolden(s);
+}
+
+TEST(ServingGolden, ExplicitArrivalsBacklogAsyncBitIdentical) {
+  // The same pin with every primary solve on the async pipeline thread
+  // (backlog carry-over keeps execution out of the overlap window).
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  auto options = explicitArrivalsOptions();
+  options.asyncServing = true;
+  const auto s = sim::runServing(machines, "approx", options);
+  expectExplicitArrivalsGolden(s);
+  EXPECT_EQ(s.asyncEpochs, s.epochs);
 }
 
 TEST(ServingGolden, AvailabilityDefaultsPreserveGoldenPin) {
@@ -113,7 +137,7 @@ TEST(ServingGolden, AvailabilityDefaultsPreserveGoldenPin) {
   options.availability.batteryCapacityJoules = 5.0;
   options.availability.rechargeWatts = 1.0;
   ASSERT_FALSE(options.availability.enabled);
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_EQ(s.requests, 99);
   EXPECT_EQ(s.served, 77);
   EXPECT_DOUBLE_EQ(s.meanAccuracy, 0.32768861033259078);
@@ -132,11 +156,11 @@ TEST(ServingOptionsCheck, ExplicitTraceDoesNotRequirePositiveRate) {
   sim::ServingOptions options = referenceOptions();
   options.arrivalTimes = {0.1, 0.4, 1.2, 2.7};
   options.arrivalRatePerSecond = 0.0;  // unused and must not be rejected
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_EQ(s.requests, 4);
   // Without a trace, a non-positive rate is still an error.
   options.arrivalTimes.clear();
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
 }
 
@@ -159,18 +183,51 @@ sim::ServingOptions faultyOptions() {
   return o;
 }
 
+TEST(ServingGolden, FaultRecoveryBacklogBitIdentical) {
+  // Crashes, stragglers, budget shocks and an injected primary failure with
+  // backlog carry-over: interrupted requests re-enter later batches through
+  // the retry path. Captured at commit d7032d6, before the serving loop's
+  // solve, execute and request paths were merged into one.
+  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
+  const auto s = sim::runServing(machines, "approx", faultyOptions());
+  EXPECT_EQ(s.requests, 99);
+  EXPECT_EQ(s.served, 50);
+  EXPECT_EQ(s.deadlineMisses, 0);
+  EXPECT_EQ(s.missPenalty, 0.0);
+  EXPECT_EQ(s.epochs, 10);
+  EXPECT_EQ(s.meanAccuracy, 0.14843503861787527);
+  EXPECT_EQ(s.totalEnergy, 149.95986778118993);
+  EXPECT_EQ(s.meanLatency, 0.68192759399117764);
+  EXPECT_EQ(s.interruptions, 18);
+  EXPECT_EQ(s.retries, 14);
+  EXPECT_EQ(s.abandoned, 0);
+  EXPECT_EQ(s.fallbacks, 1);
+  EXPECT_EQ(s.policyFailures, 1);
+  EXPECT_EQ(s.budgetShockEpochs, 5);
+  EXPECT_EQ(s.noMachineEpochs, 2);
+  using K = sim::IncidentKind;
+  const std::vector<sim::EpochIncident> incidents = {
+      {0, K::kBudgetShock, 0.3, 0},     {2, K::kBudgetShock, 0.3, 0},
+      {3, K::kBudgetShock, 0.3, 0},     {3, K::kPolicyFailure, 0.0, 0},
+      {3, K::kFallbackEngaged, 0.0, 0}, {4, K::kBudgetShock, 0.3, 0},
+      {6, K::kNoAliveMachines, 0.0, 0}, {8, K::kBudgetShock, 0.3, 0},
+      {9, K::kNoAliveMachines, 0.0, 0},
+  };
+  EXPECT_EQ(s.incidents, incidents);
+}
+
 TEST(FaultServing, DeterministicReplayBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
   const auto options = faultyOptions();
-  const auto a = sim::runServing(machines, sim::Policy::kApprox, options);
-  const auto b = sim::runServing(machines, sim::Policy::kApprox, options);
-  expectStatsEqual(a, b);
+  const auto a = sim::runServing(machines, "approx", options);
+  const auto b = sim::runServing(machines, "approx", options);
+  expectSameServing(a, b);
 }
 
 TEST(FaultServing, CrashShockAndInjectedFailureRecover) {
   const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
   const auto options = faultyOptions();
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   // The run completes (no throw) and every arrival is finalized once.
   EXPECT_EQ(s.requests, 99);
   // The injected epoch-3 failure engaged the kEdfLevels fallback.
@@ -190,13 +247,27 @@ TEST(FaultServing, CrashShockAndInjectedFailureRecover) {
   // Delivered accuracy degrades but the service still serves.
   EXPECT_GT(s.served, 0);
   EXPECT_GT(s.meanAccuracy, 0.0);
-  const auto clean =
-      sim::runServing(machines, sim::Policy::kApprox, [] {
-        auto o = faultyOptions();
-        o.faults = sim::FaultOptions{};
-        return o;
-      }());
+  const auto clean = sim::runServing(machines, "approx", [] {
+    auto o = faultyOptions();
+    o.faults = sim::FaultOptions{};
+    return o;
+  }());
   EXPECT_LT(s.meanAccuracy, clean.meanAccuracy);
+}
+
+TEST(FaultServing, AsyncMatchesSyncAndSkipsInjectedEpochs) {
+  // Faults feed execution back into later epochs, so async serving runs
+  // each primary solve on the pipeline thread without the overlap. The
+  // injected-failure epoch 3 submits no solve, and epochs without a live
+  // machine solve nothing.
+  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
+  auto options = faultyOptions();
+  const auto sync = sim::runServing(machines, "approx", options);
+  options.asyncServing = true;
+  const auto async = sim::runServing(machines, "approx", options);
+  expectSameServing(sync, withoutAsyncEpochs(async));
+  ASSERT_GT(async.noMachineEpochs, 0);
+  EXPECT_EQ(async.asyncEpochs, async.epochs - async.noMachineEpochs - 1);
 }
 
 TEST(FaultServing, ZeroRateFaultTraceMatchesDisabled) {
@@ -205,10 +276,10 @@ TEST(FaultServing, ZeroRateFaultTraceMatchesDisabled) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
   options.carryBacklog = true;
-  const auto off = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto off = sim::runServing(machines, "approx", options);
   options.faults.enabled = true;  // all rates stay zero
-  const auto on = sim::runServing(machines, sim::Policy::kApprox, options);
-  expectStatsEqual(off, on);
+  const auto on = sim::runServing(machines, "approx", options);
+  expectSameServing(off, on);
 }
 
 TEST(FaultServing, AllMachinesDownEpochsAreCounted) {
@@ -218,7 +289,7 @@ TEST(FaultServing, AllMachinesDownEpochsAreCounted) {
   options.faults.seed = 7;
   options.faults.mtbfSeconds = 0.7;  // one machine, crashing constantly
   options.faults.mttrSeconds = 2.0;
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_GT(s.noMachineEpochs, 0);
   EXPECT_EQ(s.requests, 99);
 }
@@ -232,13 +303,13 @@ TEST(FaultServing, RetryBudgetBoundsReadmissions) {
   options.relDeadlineHi = 5.0;
   options.faults.maxRetries = 0;  // interrupted once → abandoned
   options.carryBacklog = false;
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   EXPECT_GT(s.interruptions, 0);
   EXPECT_EQ(s.retries, 0);
   EXPECT_GT(s.abandoned, 0);
 
   options.faults.maxRetries = 3;
-  const auto relaxed = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto relaxed = sim::runServing(machines, "approx", options);
   EXPECT_GT(relaxed.retries, 0);
 }
 
@@ -250,7 +321,7 @@ TEST(FaultServing, InjectedFailureOnEdfLevelsFallsBackToEmptyEpoch) {
   auto options = referenceOptions();
   options.faults.enabled = true;
   options.faults.injectPolicyFailureEpochs = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const auto s = sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto s = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(s.served, 0);
   EXPECT_EQ(s.policyFailures, s.epochs);
   EXPECT_EQ(s.fallbacks, s.epochs);
@@ -267,9 +338,9 @@ TEST(FaultServing, AdmissionControlShedsLowestHeadroom) {
   options.arrivalRatePerSecond = 40.0;
   options.validateEpochs = true;  // engage the guarded path without faults
   options.admissionLoadFactor = 3.0;  // ≤ 3 requests per epoch on 1 machine
-  const auto s = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto s = sim::runServing(machines, "approx", options);
   options.admissionLoadFactor = 0.0;
-  const auto unshed = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto unshed = sim::runServing(machines, "approx", options);
   EXPECT_GT(s.shed, 0);
   // Shed requests are still finalized exactly once: same arrival stream,
   // same request count.
@@ -289,33 +360,13 @@ TEST(FaultServing, ValidatedEpochsMatchUnguardedRun) {
   // policy the guarded run must reproduce the unguarded stats exactly.
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = referenceOptions();
-  const auto plain = sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto plain = sim::runServing(machines, "approx", options);
   options.validateEpochs = true;
-  const auto gated = sim::runServing(machines, sim::Policy::kApprox, options);
-  expectStatsEqual(plain, gated);
+  const auto gated = sim::runServing(machines, "approx", options);
+  expectSameServing(plain, gated);
 }
 
 // -------------------------------------------------------- fallback chain --
-
-TEST(FallbackChain, StringPolicyOverloadMatchesEnum) {
-  // The registry-name overload is the same driver: enum and string spellings
-  // of every legacy policy must agree bit for bit, faulty or not.
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  const std::pair<sim::Policy, const char*> policies[] = {
-      {sim::Policy::kApprox, "approx"},
-      {sim::Policy::kEdfNoCompression, "edf"},
-      {sim::Policy::kEdfLevels, "edf3"},
-  };
-  for (const auto& [policy, name] : policies) {
-    EXPECT_STREQ(sim::policyName(policy), name);
-    expectStatsEqual(
-        sim::runServing(machines, policy, referenceOptions()),
-        sim::runServing(machines, std::string(name), referenceOptions()));
-    expectStatsEqual(
-        sim::runServing(machines, policy, faultyOptions()),
-        sim::runServing(machines, std::string(name), faultyOptions()));
-  }
-}
 
 TEST(FallbackChain, ExplicitDefaultChainBitIdenticalToDefault) {
   // Spelling out the default single-entry chain changes nothing: the
@@ -324,9 +375,9 @@ TEST(FallbackChain, ExplicitDefaultChainBitIdenticalToDefault) {
   const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
   auto explicitChain = faultyOptions();
   explicitChain.fallbackChain = {"edf3"};
-  expectStatsEqual(
-      sim::runServing(machines, sim::Policy::kApprox, faultyOptions()),
-      sim::runServing(machines, sim::Policy::kApprox, explicitChain));
+  expectSameServing(
+      sim::runServing(machines, "approx", faultyOptions()),
+      sim::runServing(machines, "approx", explicitChain));
 }
 
 TEST(FallbackChain, TwoEntryChainIncidentOrderPinned) {
@@ -376,6 +427,26 @@ TEST(FallbackChain, TwoEntryChainIncidentOrderPinned) {
   }
 }
 
+TEST(FallbackChain, DeepChainAsyncMatchesSync) {
+  // Only the primary runs on the async pipeline thread; the chain's
+  // fallback attempts run inline, so a chain walked to depth 2 serves and
+  // logs exactly what the synchronous run does.
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  const std::vector<long long> injected = {2, 5};
+  auto options = referenceOptions();
+  options.faults.enabled = true;
+  options.faults.injectPolicyFailureEpochs = injected;
+  options.faults.injectFailureDepth = 2;
+  options.fallbackChain = {"edf", "edf3"};
+  const auto sync = sim::runServing(machines, std::string("approx"), options);
+  options.asyncServing = true;
+  const auto async = sim::runServing(machines, std::string("approx"), options);
+  expectSameServing(sync, withoutAsyncEpochs(async));
+  EXPECT_EQ(async.policyFailures, 2 * static_cast<int>(injected.size()));
+  EXPECT_EQ(async.asyncEpochs,
+            async.epochs - static_cast<int>(injected.size()));
+}
+
 TEST(FallbackChain, ExhaustedChainServesEmptyEpoch) {
   // Injection depth covering the whole chain leaves only the empty
   // schedule; the epoch serves nothing but the run completes.
@@ -400,11 +471,11 @@ TEST(FallbackChain, InvalidChainEntriesFailLoudly) {
   auto options = referenceOptions();
   options.faults.enabled = true;
   options.fallbackChain = {"no-such-solver"};
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
   // Fractional-only solvers cannot serve epochs.
   options.fallbackChain = {"fr-opt"};
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
   options.fallbackChain = {"edf3"};
   EXPECT_THROW(
@@ -413,7 +484,7 @@ TEST(FallbackChain, InvalidChainEntriesFailLoudly) {
 }
 
 TEST(FallbackChain, RegistryPolicyBeyondLegacyEnumServes) {
-  // The registry unlocks serving policies with no Policy enum value.
+  // Any integral registry solver serves, not only approx, edf and edf3.
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const auto s = sim::runServing(machines, std::string("levels-opt"),
                                  referenceOptions());
@@ -426,10 +497,10 @@ TEST(FaultServing, WorksWithRenewableSupply) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = faultyOptions();
   const sim::PowerTrace supply({0.0, 2.0}, {40.0, 160.0});
-  const auto a = sim::runServing(machines, sim::Policy::kApprox, options, supply);
-  const auto b = sim::runServing(machines, sim::Policy::kApprox, options, supply);
+  const auto a = sim::runServing(machines, "approx", options, &supply);
+  const auto b = sim::runServing(machines, "approx", options, &supply);
   EXPECT_EQ(a.requests, 99);
-  expectStatsEqual(a, b);
+  expectSameServing(a, b);
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 #include <vector>
 
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "util/check.h"
 #include "workload/gpu_catalog.h"
 #include "workload/scenario.h"
 
 namespace dsct {
 namespace {
+
+using testing::expectSameServing;
 
 std::vector<sim::RequestSpec> tightTrace(double penalty) {
   // Deadlines far too tight for the tiny budget below — every request that
@@ -42,13 +45,7 @@ TEST(ServingScenario, TraceReplaysBitIdentically) {
   const sim::ServingOptions options = traceOptions(tightTrace(1.0));
   const sim::ServingStats a = sim::runServing(machines, "approx", options);
   const sim::ServingStats b = sim::runServing(machines, "approx", options);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-  EXPECT_EQ(a.missPenalty, b.missPenalty);
-  EXPECT_EQ(a.meanAccuracy, b.meanAccuracy);
-  EXPECT_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_EQ(a.meanLatency, b.meanLatency);
+  expectSameServing(a, b);
 }
 
 TEST(ServingScenario, TraceIgnoresTheWorkloadSeed) {
@@ -60,9 +57,7 @@ TEST(ServingScenario, TraceIgnoresTheWorkloadSeed) {
   const sim::ServingStats a = sim::runServing(machines, "approx", options);
   options.seed = 424242;
   const sim::ServingStats b = sim::runServing(machines, "approx", options);
-  EXPECT_EQ(a.meanAccuracy, b.meanAccuracy);
-  EXPECT_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
+  expectSameServing(a, b);
 }
 
 TEST(ServingScenario, UnitPenaltyEqualsMissCount) {
@@ -162,12 +157,7 @@ TEST(ServingScenario, ScenarioRunReplaysBitIdentically) {
   const sim::ServingOptions options = makeServingOptions(sc);
   const sim::ServingStats a = sim::runServing(machines, "approx", options);
   const sim::ServingStats b = sim::runServing(machines, "approx", options);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.meanAccuracy, b.meanAccuracy);
-  EXPECT_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_EQ(a.meanLatency, b.meanLatency);
-  EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
-  EXPECT_EQ(a.missPenalty, b.missPenalty);
+  expectSameServing(a, b);
   // The gold tier weights every miss by 4.
   if (a.deadlineMisses > 0) {
     EXPECT_DOUBLE_EQ(a.missPenalty, 4.0 * a.deadlineMisses);

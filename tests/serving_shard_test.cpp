@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "workload/gpu_catalog.h"
 #include "workload/scenario.h"
 
 namespace dsct {
 namespace {
+
+using testing::expectSameServing;
+using testing::withoutAsyncEpochs;
 
 sim::ServingOptions baseOptions() {
   sim::ServingOptions options;
@@ -37,12 +41,9 @@ TEST(ServingShard, ShardsZeroAndOneMatchUnsharded) {
   for (const int shards : {0, 1}) {
     sim::ServingOptions options = baseOptions();
     options.shards = shards;
-    const sim::ServingStats sharded =
-        sim::runServing(machines, std::string("approx"), options);
-    EXPECT_EQ(sharded.meanAccuracy, plain.meanAccuracy) << shards;
-    EXPECT_EQ(sharded.totalEnergy, plain.totalEnergy) << shards;
-    EXPECT_EQ(sharded.served, plain.served) << shards;
-    EXPECT_EQ(sharded.deadlineMisses, plain.deadlineMisses) << shards;
+    SCOPED_TRACE(shards);
+    expectSameServing(
+        plain, sim::runServing(machines, std::string("approx"), options));
   }
 }
 
@@ -67,10 +68,27 @@ TEST(ServingShard, ShardedRunIsReplayable) {
       sim::runServing(fleet(), std::string("approx"), options);
   const sim::ServingStats b =
       sim::runServing(fleet(), std::string("approx"), options);
-  EXPECT_EQ(a.meanAccuracy, b.meanAccuracy);
-  EXPECT_EQ(a.totalEnergy, b.totalEnergy);
-  EXPECT_EQ(a.shardPriceIterations, b.shardPriceIterations);
-  EXPECT_EQ(a.shardTopUpEnergy, b.shardTopUpEnergy);
+  expectSameServing(a, b);
+}
+
+TEST(ServingShard, AsyncShardedRunMatchesSync) {
+  // The sharded primary runs on the async pipeline thread like any other
+  // solver, with the execution overlap (backlog off) and without it
+  // (backlog on): the run matches the synchronous one field for field.
+  for (const bool backlog : {false, true}) {
+    SCOPED_TRACE(backlog ? "backlog" : "overlap");
+    sim::ServingOptions options = baseOptions();
+    options.shards = 3;
+    options.carryBacklog = backlog;
+    const sim::ServingStats sync =
+        sim::runServing(fleet(), std::string("approx"), options);
+    options.asyncServing = true;
+    const sim::ServingStats async =
+        sim::runServing(fleet(), std::string("approx"), options);
+    expectSameServing(sync, withoutAsyncEpochs(async));
+    EXPECT_EQ(async.asyncEpochs, async.epochs);
+    EXPECT_EQ(async.shardedEpochs, async.epochs);
+  }
 }
 
 TEST(ServingShard, FallbacksStayUnsharded) {

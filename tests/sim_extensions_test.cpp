@@ -6,6 +6,7 @@
 #include "sim/cluster.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"
+#include "tests/serving_support.h"
 #include "tests/test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -80,7 +81,7 @@ TEST(RenewableServing, BudgetFollowsSupply) {
   // Power only in the second half of the horizon.
   const sim::PowerTrace supply({0.0, 2.0}, {0.0, 200.0});
   const sim::ServingStats stats =
-      sim::runServing(machines, sim::Policy::kApprox, options, supply);
+      sim::runServing(machines, "approx", options, &supply);
   EXPECT_GT(stats.requests, 0);
   // Total energy cannot exceed what the supply provided.
   EXPECT_LE(stats.totalEnergy,
@@ -94,8 +95,9 @@ TEST(RenewableServing, ZeroSupplyServesNothing) {
   sim::ServingOptions options;
   options.horizonSeconds = 2.0;
   options.seed = 6;
-  const sim::ServingStats stats = sim::runServing(
-      machines, sim::Policy::kApprox, options, sim::PowerTrace::constant(0.0));
+  const sim::PowerTrace dark = sim::PowerTrace::constant(0.0);
+  const sim::ServingStats stats =
+      sim::runServing(machines, "approx", options, &dark);
   EXPECT_EQ(stats.served, 0);
   EXPECT_DOUBLE_EQ(stats.totalEnergy, 0.0);
 }
@@ -112,11 +114,36 @@ TEST(RenewableServing, MoreSunMoreAccuracy) {
       sim::PowerTrace::solarDay(30.0, 4.0, 0.0, 1.0, 32, 0.0, rng);
   const auto bright =
       sim::PowerTrace::solarDay(300.0, 4.0, 0.0, 1.0, 32, 0.0, rng);
-  const auto dimStats =
-      sim::runServing(machines, sim::Policy::kApprox, options, dim);
+  const auto dimStats = sim::runServing(machines, "approx", options, &dim);
   const auto brightStats =
-      sim::runServing(machines, sim::Policy::kApprox, options, bright);
+      sim::runServing(machines, "approx", options, &bright);
   EXPECT_GT(brightStats.meanAccuracy, dimStats.meanAccuracy);
+}
+
+TEST(RenewableServing, AsyncMatchesSync) {
+  // The supply sets each epoch's budget before the primary solve is
+  // submitted, so async serving — with the execution overlap, and without
+  // it under backlog carry-over — serves exactly the synchronous run.
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  sim::ServingOptions options;
+  options.arrivalRatePerSecond = 40.0;
+  options.horizonSeconds = 4.0;
+  options.epochSeconds = 0.5;
+  options.seed = 7;
+  Rng rng(3);
+  const auto supply =
+      sim::PowerTrace::solarDay(120.0, 4.0, 0.0, 1.0, 32, 0.2, rng);
+  for (const bool backlog : {false, true}) {
+    SCOPED_TRACE(backlog ? "backlog" : "overlap");
+    options.carryBacklog = backlog;
+    options.asyncServing = false;
+    const auto sync = sim::runServing(machines, "approx", options, &supply);
+    options.asyncServing = true;
+    const auto async = sim::runServing(machines, "approx", options, &supply);
+    testing::expectSameServing(sync, testing::withoutAsyncEpochs(async));
+    EXPECT_EQ(async.asyncEpochs, async.epochs);
+    EXPECT_GT(sync.served, 0);
+  }
 }
 
 // ------------------------------------------------------- communication ---

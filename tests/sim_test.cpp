@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/edf_nocompress.h"
+#include "core/solver_registry.h"
 #include "sched/approx.h"
 #include "sim/serving.h"
 #include "sim/trace.h"
@@ -96,8 +97,7 @@ TEST(Serving, RunsAndAccountsRequests) {
   options.energyBudgetPerEpoch = 50.0;
   options.seed = 3;
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  const sim::ServingStats stats =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+  const sim::ServingStats stats = sim::runServing(machines, "approx", options);
   EXPECT_GT(stats.requests, 0);
   EXPECT_GE(stats.served, 0);
   EXPECT_LE(stats.served, stats.requests);
@@ -114,8 +114,8 @@ TEST(Serving, DeterministicForFixedSeed) {
   options.horizonSeconds = 1.0;
   options.seed = 12;
   const auto machines = machinesFromCatalog({"T4"});
-  const auto a = sim::runServing(machines, sim::Policy::kEdfLevels, options);
-  const auto b = sim::runServing(machines, sim::Policy::kEdfLevels, options);
+  const auto a = sim::runServing(machines, "edf3", options);
+  const auto b = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
   EXPECT_DOUBLE_EQ(a.totalEnergy, b.totalEnergy);
@@ -129,19 +129,20 @@ TEST(Serving, ApproxBeatsNoCompressionUnderTightEnergy) {
   options.energyBudgetPerEpoch = 20.0;  // tight
   options.seed = 21;
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  const auto approx =
-      sim::runServing(machines, sim::Policy::kApprox, options);
-  const auto none =
-      sim::runServing(machines, sim::Policy::kEdfNoCompression, options);
+  const auto approx = sim::runServing(machines, "approx", options);
+  const auto none = sim::runServing(machines, "edf", options);
   EXPECT_GT(approx.meanAccuracy, none.meanAccuracy);
 }
 
 TEST(Serving, PolicyNames) {
-  EXPECT_STREQ(sim::toString(sim::Policy::kApprox), "DSCT-EA-Approx");
-  EXPECT_STREQ(sim::toString(sim::Policy::kEdfNoCompression),
-               "EDF-NoCompression");
-  EXPECT_STREQ(sim::toString(sim::Policy::kEdfLevels),
-               "EDF-3CompressionLevels");
+  // The serving examples label each policy row with the solver's registry
+  // display name.
+  const auto label = [](const char* name) {
+    return SolverRegistry::instance().resolve(name).displayName();
+  };
+  EXPECT_EQ(label("approx"), "DSCT-EA-Approx");
+  EXPECT_EQ(label("edf"), "EDF-NoCompression");
+  EXPECT_EQ(label("edf3"), "EDF-3CompressionLevels");
 }
 
 }  // namespace

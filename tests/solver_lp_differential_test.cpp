@@ -1,9 +1,9 @@
 // LP differential battery: the sparse revised simplex against the dense
 // tableau it replaced.
 //
-// The dense engine (LpEngine::kDense) is retained exactly as the reference
-// oracle for this file. Every case solves the same model through both
-// engines and asserts:
+// The dense engine is retained verbatim as this file's reference oracle
+// (tests/dense_tableau_reference.h). Every case solves the same model
+// through both engines and asserts:
 //
 //   - identical solve status,
 //   - objective agreement to 1e-9 (relative, anchored at 1),
@@ -33,6 +33,7 @@
 
 #include "mipmodel/dsct_lp.h"
 #include "solver/model.h"
+#include "tests/dense_tableau_reference.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 
@@ -41,12 +42,6 @@ namespace {
 
 constexpr double kObjTol = 1e-9;   // issue-mandated differential tolerance
 constexpr double kFeasTol = 1e-6;  // primal feasibility / binding check
-
-LpResult solveWith(const Model& model, LpEngine engine) {
-  LpOptions options;
-  options.engine = engine;
-  return solveLp(model, options);
-}
 
 /// Row activity a_i^T x.
 double rowActivity(const Model& model, int i, const std::vector<double>& x) {
@@ -60,8 +55,8 @@ double rowActivity(const Model& model, int i, const std::vector<double>& x) {
 /// Full differential check of one model; `label` tags failures.
 void checkDifferential(const Model& model, const std::string& label) {
   SCOPED_TRACE(label);
-  const LpResult dense = solveWith(model, LpEngine::kDense);
-  const LpResult revised = solveWith(model, LpEngine::kRevised);
+  const LpResult dense = reference::solveLpDense(model);
+  const LpResult revised = solveLp(model);
 
   ASSERT_EQ(revised.status, dense.status)
       << "revised=" << toString(revised.status)
@@ -188,7 +183,7 @@ TEST(LpDifferential, RandomGeneralLps) {
     const int m = shape.uniformInt(1, 10);
     const Model model = randomGeneralLp(seed, n, m);
     checkDifferential(model, "random seed=" + std::to_string(seed));
-    if (solveWith(model, LpEngine::kDense).status == SolveStatus::kOptimal) {
+    if (reference::solveLpDense(model).status == SolveStatus::kOptimal) {
       ++optimalSeen;
     }
   }
@@ -260,7 +255,7 @@ TEST(LpDifferential, CorpusGoldenObjectives) {
       for (int caseIdx = 0; caseIdx < 10; ++caseIdx) {
         const DsctLp lp =
             buildFractionalLp(testing::corpusInstance(seed, caseIdx));
-        const LpResult res = solveWith(lp.model, LpEngine::kRevised);
+        const LpResult res = solveLp(lp.model);
         if (res.status != SolveStatus::kOptimal) continue;
         printf("    {%llu, %d, %.17g},\n",
                static_cast<unsigned long long>(seed), caseIdx, res.objective);
@@ -268,7 +263,7 @@ TEST(LpDifferential, CorpusGoldenObjectives) {
     }
     const DsctLp golden = buildFractionalLp(testing::goldenMidSizeInstance());
     printf("    {0, -1, %.17g},\n",
-           solveWith(golden.model, LpEngine::kRevised).objective);
+           solveLp(golden.model).objective);
     printf("    // REGEN-END\n");
     GTEST_SKIP() << "regeneration run — paste the table above";
   }
@@ -279,7 +274,7 @@ TEST(LpDifferential, CorpusGoldenObjectives) {
                               ? testing::goldenMidSizeInstance()
                               : testing::corpusInstance(g.seed, g.caseIdx);
     const DsctLp lp = buildFractionalLp(inst);
-    const LpResult res = solveWith(lp.model, LpEngine::kRevised);
+    const LpResult res = solveLp(lp.model);
     ASSERT_EQ(res.status, SolveStatus::kOptimal);
     const double scale = std::max(1.0, std::abs(g.objective));
     EXPECT_NEAR(res.objective, g.objective, kObjTol * scale);
@@ -300,7 +295,7 @@ TEST(LpDifferential, DegenerateVertexAgrees) {
   m.addConstraint({{x, 1.0}}, Sense::kLe, 4.0);            // redundant at opt
   m.addConstraint({{x, 2.0}, {y, 2.0}}, Sense::kLe, 8.0);  // scaled duplicate
   checkDifferential(m, "degenerate duplicate rows");
-  const LpResult res = solveWith(m, LpEngine::kRevised);
+  const LpResult res = solveLp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, 8.0, 1e-9);
 }
@@ -318,7 +313,7 @@ TEST(LpDifferential, BealeCyclingModel) {
                   Sense::kLe, 0.0);
   m.addConstraint({{x3, 1.0}}, Sense::kLe, 1.0);
   checkDifferential(m, "Beale cycling");
-  const LpResult res = solveWith(m, LpEngine::kRevised);
+  const LpResult res = solveLp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, -0.05, 1e-9);
 }
@@ -329,8 +324,8 @@ TEST(LpDifferential, UnboundedPinned) {
   const int x = m.addVariable(0.0, kInfinity, 1.0);
   const int y = m.addVariable(0.0, kInfinity, 1.0);
   m.addConstraint({{x, 1.0}, {y, -1.0}}, Sense::kLe, 1.0);
-  EXPECT_EQ(solveWith(m, LpEngine::kRevised).status, SolveStatus::kUnbounded);
-  EXPECT_EQ(solveWith(m, LpEngine::kDense).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solveLp(m).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(reference::solveLpDense(m).status, SolveStatus::kUnbounded);
 }
 
 TEST(LpDifferential, UnboundedViaFreeVariable) {
@@ -340,8 +335,8 @@ TEST(LpDifferential, UnboundedViaFreeVariable) {
   const int x = m.addVariable(-kInfinity, kInfinity, 1.0);  // min x, x free
   const int y = m.addVariable(0.0, 10.0, 0.0);
   m.addConstraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 100.0);
-  EXPECT_EQ(solveWith(m, LpEngine::kRevised).status, SolveStatus::kUnbounded);
-  EXPECT_EQ(solveWith(m, LpEngine::kDense).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solveLp(m).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(reference::solveLpDense(m).status, SolveStatus::kUnbounded);
 }
 
 TEST(LpDifferential, InfeasiblePinned) {
@@ -350,8 +345,8 @@ TEST(LpDifferential, InfeasiblePinned) {
   const int y = m.addVariable(0.0, kInfinity, 1.0);
   m.addConstraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 1.0);
   m.addConstraint({{x, 1.0}, {y, 1.0}}, Sense::kGe, 2.0);
-  EXPECT_EQ(solveWith(m, LpEngine::kRevised).status, SolveStatus::kInfeasible);
-  EXPECT_EQ(solveWith(m, LpEngine::kDense).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solveLp(m).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(reference::solveLpDense(m).status, SolveStatus::kInfeasible);
 }
 
 TEST(LpDifferential, InfeasibleByBoundsVsRow) {
@@ -361,8 +356,8 @@ TEST(LpDifferential, InfeasibleByBoundsVsRow) {
   const int x = m.addVariable(3.0, 10.0, 1.0);
   const int y = m.addVariable(3.0, 10.0, 1.0);
   m.addConstraint({{x, 1.0}, {y, 1.0}}, Sense::kEq, 5.0);
-  EXPECT_EQ(solveWith(m, LpEngine::kRevised).status, SolveStatus::kInfeasible);
-  EXPECT_EQ(solveWith(m, LpEngine::kDense).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solveLp(m).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(reference::solveLpDense(m).status, SolveStatus::kInfeasible);
 }
 
 TEST(LpDifferential, AllVariablesAtBoundOptimum) {
@@ -377,7 +372,7 @@ TEST(LpDifferential, AllVariablesAtBoundOptimum) {
   const int d = m.addVariable(-1.0, 1.0, -3.0);   // → lower -1
   m.addConstraint({{a, 1.0}, {b, 1.0}, {c, 1.0}, {d, 1.0}}, Sense::kLe, 100.0);
   checkDifferential(m, "all at bound");
-  const LpResult res = solveWith(m, LpEngine::kRevised);
+  const LpResult res = solveLp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, 5.0 * 3 - 2.0 * -4 + 6.0 - 3.0 * -1, 1e-9);
   EXPECT_NEAR(res.x[a], 3.0, 1e-9);
@@ -399,16 +394,16 @@ TEST(LpDifferential, FixedVariablesOnly) {
   const int y = m.addVariable(-1.0, -1.0, 4.0);
   m.addConstraint({{x, 1.0}, {y, 1.0}}, Sense::kEq, 1.0);
   checkDifferential(m, "all fixed feasible");
-  const LpResult res = solveWith(m, LpEngine::kRevised);
+  const LpResult res = solveLp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, 2.0, 1e-9);
 
   Model bad;
   bad.addVariable(2.0, 2.0, 1.0);
   bad.addConstraint({{0, 1.0}}, Sense::kEq, 3.0);
-  EXPECT_EQ(solveWith(bad, LpEngine::kRevised).status,
+  EXPECT_EQ(solveLp(bad).status,
             SolveStatus::kInfeasible);
-  EXPECT_EQ(solveWith(bad, LpEngine::kDense).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(reference::solveLpDense(bad).status, SolveStatus::kInfeasible);
 }
 
 TEST(LpDifferential, NoConstraints) {
@@ -418,7 +413,7 @@ TEST(LpDifferential, NoConstraints) {
   m.addVariable(0.0, 2.5, 4.0);
   m.addVariable(-1.5, 0.0, -2.0);
   checkDifferential(m, "no rows");
-  const LpResult res = solveWith(m, LpEngine::kRevised);
+  const LpResult res = solveLp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, 13.0, 1e-9);
 }
@@ -432,7 +427,7 @@ TEST(LpDifferential, BadlyScaledRowsAgree) {
   m.addConstraint({{x, 1e6}, {y, 2e6}}, Sense::kLe, 4e6);
   m.addConstraint({{x, 3e-2}, {y, 1e-2}}, Sense::kLe, 6e-2);
   checkDifferential(m, "badly scaled");
-  const LpResult res = solveWith(m, LpEngine::kRevised);
+  const LpResult res = solveLp(m);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   EXPECT_NEAR(res.objective, 2.8, 1e-6);
 }

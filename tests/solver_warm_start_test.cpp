@@ -32,6 +32,7 @@
 #include "sim/serving.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
+#include "tests/serving_support.h"
 #include "tests/test_support.h"
 
 namespace dsct {
@@ -300,13 +301,15 @@ TEST(WarmStart, ServingReplayBitIdenticalWarmOnVsOff) {
       sim::runServing(machines, "mip-warm", replayOptions(false));
 
   // Identical service: the slot changed pivot work only.
-  EXPECT_EQ(on.requests, off.requests);
-  EXPECT_EQ(on.served, off.served);
-  EXPECT_EQ(on.deadlineMisses, off.deadlineMisses);
-  EXPECT_DOUBLE_EQ(on.meanAccuracy, off.meanAccuracy);
-  EXPECT_DOUBLE_EQ(on.totalEnergy, off.totalEnergy);
-  EXPECT_DOUBLE_EQ(on.meanLatency, off.meanLatency);
-  EXPECT_EQ(on.epochs, off.epochs);
+  const auto withoutLpWork = [](sim::ServingStats s) {
+    s.lpPivots = 0;
+    s.lpRefactorizations = 0;
+    s.lpWarmStartsUsed = 0;
+    s.lpWarmStartsRepaired = 0;
+    s.lpWarmStartsRejected = 0;
+    return s;
+  };
+  testing::expectSameServing(withoutLpWork(on), withoutLpWork(off));
 
   // Node-level basis inheritance inside each MIP solve (children warm from
   // their parent's basis) counts into used/repaired in BOTH runs, so those
@@ -324,6 +327,22 @@ TEST(WarmStart, ServingReplayBitIdenticalWarmOnVsOff) {
   // basis (not merely attempt and reject it).
   EXPECT_GT(on.lpWarmStartsUsed + on.lpWarmStartsRepaired,
             off.lpWarmStartsUsed + off.lpWarmStartsRepaired);
+}
+
+TEST(WarmStart, AsyncServingCarriesTheSameBasis) {
+  // Async serving runs every mip-warm solve on the pipeline thread, in epoch
+  // order, so the cross-epoch slot hands each solve the same basis as in the
+  // synchronous run: identical service and identical LP work.
+  const std::vector<Machine> machines = {{1.0, 0.8, "a"}, {1.6, 0.5, "b"}};
+  sim::ServingOptions options = replayOptions(true);
+  const sim::ServingStats sync = sim::runServing(machines, "mip-warm", options);
+  options.asyncServing = true;
+  const sim::ServingStats async =
+      sim::runServing(machines, "mip-warm", options);
+  testing::expectSameServing(sync, testing::withoutAsyncEpochs(async));
+  EXPECT_EQ(async.asyncEpochs, async.epochs);
+  EXPECT_EQ(async.lpWarmStartsRejected, 1);
+  EXPECT_GT(async.lpPivots, 0);
 }
 
 }  // namespace

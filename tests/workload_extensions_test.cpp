@@ -1,6 +1,8 @@
 // Model catalog and arrival processes.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/serving.h"
 #include "util/check.h"
 #include "workload/arrivals.h"
@@ -107,8 +109,7 @@ TEST(Arrivals, FeedsServingDriver) {
   options.epochSeconds = 0.5;
   options.energyBudgetPerEpoch = 40.0;
   const auto machines = machinesFromCatalog({"T4"});
-  const auto stats =
-      sim::runServing(machines, sim::Policy::kApprox, options);
+  const auto stats = sim::runServing(machines, "approx", options);
   EXPECT_EQ(stats.requests, static_cast<int>(options.arrivalTimes.size()));
 }
 
@@ -117,8 +118,30 @@ TEST(Arrivals, ServingRejectsUnsortedTimes) {
   options.arrivalTimes = {1.0, 0.5};
   options.horizonSeconds = 2.0;
   const auto machines = machinesFromCatalog({"T4"});
-  EXPECT_THROW(sim::runServing(machines, sim::Policy::kApprox, options),
+  EXPECT_THROW(sim::runServing(machines, "approx", options),
                CheckError);
+}
+
+TEST(Arrivals, NonFiniteHorizonRejected) {
+  // A NaN horizon never ends the epoch loop, and an infinite one grows the
+  // arrival stream until allocation fails: the sampler and the serving
+  // driver both reject them up front, with or without a request trace.
+  const auto machines = machinesFromCatalog({"T4"});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double horizon :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    SCOPED_TRACE(horizon);
+    Rng rng(5);
+    EXPECT_THROW(ArrivalProcess::poisson(5.0).sample(horizon, rng),
+                 CheckError);
+    EXPECT_THROW(ArrivalProcess::mmpp(2.0, 20.0, 1.0, 1.0).sample(horizon, rng),
+                 CheckError);
+    sim::ServingOptions options;
+    options.horizonSeconds = horizon;
+    EXPECT_THROW(sim::runServing(machines, "edf3", options), CheckError);
+    options.requestTrace = {sim::RequestSpec{.arrival = 0.1}};
+    EXPECT_THROW(sim::runServing(machines, "edf3", options), CheckError);
+  }
 }
 
 }  // namespace

@@ -106,6 +106,25 @@ run_step(${CLI} serve --scenario ${SCENARIO_DIR}/volunteer_fleet.dsct
 run_step(${CLI} serve --scenario ${SCENARIO_DIR}/million_tasks.dsct
          --horizon 2)
 
+# Malformed or non-finite numeric flags exit 1 naming the flag: no hang
+# (nan), no unbounded arrival stream (inf), no silent truncation (2x, 2.9).
+# Each run is time-boxed so a regression fails instead of hanging ctest.
+function(expect_flag_rejected flag)
+  execute_process(COMMAND ${CLI} serve ${ARGN} TIMEOUT 10
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT err MATCHES "${flag}")
+    list(JOIN ARGN " " args)
+    message(FATAL_ERROR "serve ${args} should exit 1 naming ${flag}, got "
+                        "(${code}):\n${out}\n${err}")
+  endif()
+endfunction()
+expect_flag_rejected(--horizon --horizon nan)
+expect_flag_rejected(--horizon --horizon inf)
+expect_flag_rejected(--horizon --scenario ${SCENARIO_DIR}/million_tasks.dsct
+                     --horizon inf)
+expect_flag_rejected(--horizon --horizon 2x)
+expect_flag_rejected(--shards --shards 2.9)
+
 # Conflicting flags and malformed files fail loudly.
 execute_process(COMMAND ${CLI} serve --scenario ${SCENARIO_DIR}/diurnal.dsct
                 --gpus T4 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)

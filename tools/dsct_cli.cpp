@@ -35,13 +35,16 @@
 // Exit code 0 on success (and, for `validate`, a feasible schedule);
 // 1 on usage errors, 2 on infeasibility.
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dsct/dsct.h"
@@ -50,6 +53,30 @@
 namespace {
 
 using namespace dsct;
+
+/// The whole of a numeric flag's value. A partial parse ("2x", or "2.9" for
+/// an integer flag), an out-of-range value, NaN or ±inf is a usage error
+/// naming the flag.
+template <typename T>
+T parseNumber(const std::string& key, const std::string& text) {
+  try {
+    std::size_t used = 0;
+    T value{};
+    if constexpr (std::is_integral_v<T>) {
+      value = std::stoi(text, &used);
+    } else {
+      value = std::stod(text, &used);
+    }
+    if (used == text.size() && std::isfinite(static_cast<double>(value))) {
+      return value;
+    }
+  } catch (const std::logic_error&) {
+    // std::invalid_argument or std::out_of_range: reported below.
+  }
+  throw std::invalid_argument("--" + key + " expects a finite " +
+                              (std::is_integral_v<T> ? "integer" : "number") +
+                              ", got '" + text + "'");
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -62,11 +89,12 @@ struct Args {
   }
   double getDouble(const std::string& key, double fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    return it == options.end() ? fallback
+                               : parseNumber<double>(key, it->second);
   }
   int getInt(const std::string& key, int fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoi(it->second);
+    return it == options.end() ? fallback : parseNumber<int>(key, it->second);
   }
 };
 
@@ -95,7 +123,7 @@ int usage() {
       "  dsct_cli generate --tasks N --machines M [--rho R] [--beta B]\n"
       "           [--theta-min T] [--theta-max T] [--seed S] --out FILE\n"
       "  dsct_cli solve INSTANCE [--algo NAME] [--time-limit SEC]\n"
-      "           [--lp-engine revised|dense] [--out SCHEDULE] [--gantt]\n"
+      "           [--out SCHEDULE] [--gantt]\n"
       "  dsct_cli info INSTANCE [--tasks]\n"
       "  dsct_cli validate INSTANCE SCHEDULE\n"
       "  dsct_cli simulate INSTANCE SCHEDULE [--trace]\n"
@@ -200,15 +228,6 @@ int cmdSolve(const Args& args) {
   SolveContext context;
   context.mip.timeLimitSeconds = args.getDouble("time-limit", 60.0);
   context.lp.timeLimitSeconds = args.getDouble("time-limit", -1.0);
-  const std::string engine = args.get("lp-engine", "revised");
-  if (engine == "dense") {
-    context.lp.engine = lp::LpEngine::kDense;
-    context.mip.lp.engine = lp::LpEngine::kDense;
-  } else if (engine != "revised") {
-    std::cerr << "unknown --lp-engine '" << engine
-              << "' (expected revised|dense)\n";
-    return usage();
-  }
   const SolveOutcome outcome = solver->solve(inst, context);
   if (outcome.lpCounters.pivots > 0) {
     std::cout << "lp pivots      : " << outcome.lpCounters.pivots << " ("
