@@ -11,6 +11,7 @@
 #include "sched/profile_evaluator.h"
 #include "sched/single_machine.h"
 #include "solver/simplex.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace dsct {
@@ -97,9 +98,11 @@ void BM_FrOptParallel(benchmark::State& state) {
   const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)), 5);
   // Parallel mode must reproduce the serial result bit for bit (pure
   // evaluations, index-ordered reductions); bail out loudly if it ever
-  // diverges rather than timing a wrong computation.
+  // diverges rather than timing a wrong computation. One pool serves every
+  // iteration, so the loop times solves, not thread start-up.
+  ThreadPool pool(2);
   FrOptOptions options;
-  options.threads = 2;
+  options.pool = &pool;
   const double serialAccuracy = solveFrOpt(inst).totalAccuracy;
   if (solveFrOpt(inst, options).totalAccuracy != serialAccuracy) {
     state.SkipWithError("parallel accuracy diverged from serial");

@@ -1,24 +1,20 @@
-// Microbench: parallel cached evaluateBatch vs serial (the PR 4 measurement
-// that was proven bit-identical and TSan-clean but never timed).
+// Microbench: pooled evaluateBatch vs serial.
 //
 // Times ProfileEvaluator::evaluateBatch over a batch of random energy
-// profiles in three modes — serial, pooled, and parallel-cached (workers
-// read the sharded cross-solve cache concurrently) — on
-// hardware_concurrency() threads, asserts the three answer vectors are
-// bitwise identical, and reports the speedups. On a single-core host the
-// bench degrades gracefully: it reports "1 core" and skips the speedup
-// claim rather than printing a meaningless ratio.
+// profiles in two modes — serial, and pooled on hardware_concurrency()
+// threads — asserts the two answer vectors are bitwise identical, and
+// reports the speedup. On a single-core host the bench degrades gracefully:
+// it reports "1 core" and skips the speedup claim rather than printing a
+// meaningless ratio.
 //
 // CSV: micro_parallel_eval.csv
-//   profiles,n,m,cores,serial_seconds,pooled_seconds,parallel_seconds,
-//   speedup_pooled,speedup_parallel,identical
+//   profiles,n,m,cores,serial_seconds,pooled_seconds,speedup_pooled,identical
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sched/profile_cache.h"
 #include "sched/profile_evaluator.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -31,15 +27,14 @@ namespace {
 
 using namespace dsct;
 
-/// One timed evaluateBatch run through a fresh evaluator + cache, so every
-/// mode starts cold and no mode inherits another's memo.
+/// One timed evaluateBatch run through a fresh evaluator, so both modes
+/// start cold and neither inherits the other's memo.
 double timedBatch(const Instance& inst,
                   const std::vector<EnergyProfile>& profiles, ThreadPool* pool,
-                  bool parallelCachedEval, std::vector<double>* out) {
-  ProfileCache cache;
-  ProfileEvaluator evaluator(inst, &cache);
+                  std::vector<double>* out) {
+  ProfileEvaluator evaluator(inst);
   Stopwatch watch;
-  *out = evaluator.evaluateBatch(profiles, pool, parallelCachedEval);
+  *out = evaluator.evaluateBatch(profiles, pool);
   return watch.elapsedSeconds();
 }
 
@@ -47,8 +42,8 @@ double timedBatch(const Instance& inst,
 
 int main() {
   using namespace dsct;
-  bench::printHeader("micro — parallel cached evaluateBatch vs serial",
-                     "PR 4 open measurement (not in the paper)");
+  bench::printHeader("micro — pooled evaluateBatch vs serial",
+                     "not in the paper");
 
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned cores = hw == 0 ? 1 : hw;
@@ -57,7 +52,7 @@ int main() {
     // the ratio would only measure scheduling noise.
     std::cout << "1 core available — parallel speedup not measurable on this "
                  "host; the modes stay bit-identical regardless (see "
-                 "tests/sched_concurrent_cache_test.cpp).\n";
+                 "tests/sched_pooled_eval_test.cpp).\n";
   } else {
     std::cout << "worker threads: " << cores << " (hardware_concurrency)\n\n";
   }
@@ -71,12 +66,10 @@ int main() {
                                       ? std::vector<Size>{{200, 4}, {400, 6}}
                                       : std::vector<Size>{{120, 4}, {240, 6}};
 
-  Table table({"n", "m", "profiles", "serial s", "pooled s", "parallel s",
-               "speedup(pool)", "speedup(par)"});
+  Table table({"n", "m", "profiles", "serial s", "pooled s", "speedup"});
   CsvWriter csv("micro_parallel_eval.csv",
                 {"profiles", "n", "m", "cores", "serial_seconds",
-                 "pooled_seconds", "parallel_seconds", "speedup_pooled",
-                 "speedup_parallel", "identical"});
+                 "pooled_seconds", "speedup_pooled", "identical"});
 
   ThreadPool pool(0);  // 0 = hardware concurrency
   for (const Size& size : sizes) {
@@ -104,41 +97,33 @@ int main() {
       }
     }
 
-    std::vector<double> serialOut, pooledOut, parallelOut;
-    const double serialSec =
-        timedBatch(inst, profiles, nullptr, false, &serialOut);
-    const double pooledSec =
-        timedBatch(inst, profiles, &pool, false, &pooledOut);
-    const double parallelSec =
-        timedBatch(inst, profiles, &pool, true, &parallelOut);
+    std::vector<double> serialOut, pooledOut;
+    const double serialSec = timedBatch(inst, profiles, nullptr, &serialOut);
+    const double pooledSec = timedBatch(inst, profiles, &pool, &pooledOut);
 
     // The parallel claim is only worth a number if it is the same number:
-    // all modes must agree bit for bit.
-    const bool identical = serialOut == pooledOut && serialOut == parallelOut;
+    // both modes must agree bit for bit.
+    const bool identical = serialOut == pooledOut;
     if (!identical) {
-      std::cerr << "FAIL: modes disagree — parallel evaluateBatch is not "
+      std::cerr << "FAIL: modes disagree — pooled evaluateBatch is not "
                    "bit-identical to serial on this host\n";
       return 1;
     }
 
-    const double speedupPooled = pooledSec > 0.0 ? serialSec / pooledSec : 0.0;
-    const double speedupParallel =
-        parallelSec > 0.0 ? serialSec / parallelSec : 0.0;
+    const double speedup = pooledSec > 0.0 ? serialSec / pooledSec : 0.0;
     table.addRow(std::vector<double>{
         static_cast<double>(size.tasks), static_cast<double>(size.machines),
-        static_cast<double>(numProfiles), serialSec, pooledSec, parallelSec,
-        speedupPooled, speedupParallel});
+        static_cast<double>(numProfiles), serialSec, pooledSec, speedup});
     csv.addRow(std::vector<double>{
         static_cast<double>(numProfiles), static_cast<double>(size.tasks),
         static_cast<double>(size.machines), static_cast<double>(cores),
-        serialSec, pooledSec, parallelSec, speedupPooled, speedupParallel,
-        identical ? 1.0 : 0.0});
+        serialSec, pooledSec, speedup, identical ? 1.0 : 0.0});
   }
   table.print(std::cout);
   if (cores > 1) {
-    std::cout << "\ntakeaway: the parallel cached path computes the same "
-                 "bits as serial; the speedup columns above are the measured "
-                 "multi-core gain on "
+    std::cout << "\ntakeaway: the pooled path computes the same bits as "
+                 "serial; the speedup column above is the measured multi-core "
+                 "gain on "
               << cores << " threads.\n";
   }
   return 0;

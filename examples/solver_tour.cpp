@@ -40,9 +40,9 @@ int main() {
   }
 
   // ---- 2. One instance, every solver, one shared context ----
-  // The context carries per-family options plus the cross-solve profile
-  // cache; passing the same context to every solve is exactly what the
-  // serving loop and the experiment runner do.
+  // The context carries per-family options; passing the same context to
+  // every solve is exactly what the serving loop and the experiment runner
+  // do.
   ScenarioSpec spec;
   spec.numTasks = 6;
   spec.numMachines = 2;
@@ -50,9 +50,7 @@ int main() {
   spec.beta = 0.5;
   const Instance inst = makeScenario(spec, 0.1, 1.0, 11);
 
-  ProfileCache cache;
   SolveContext context;
-  context.frOpt.sharedCache = &cache;
   context.mip.timeLimitSeconds = 10.0;
   context.lp.timeLimitSeconds = 10.0;
 
@@ -71,8 +69,6 @@ int main() {
               << " tasks in " << formatFixed(out.wallSeconds * 1e3, 2)
               << " ms\n";
   }
-  std::cout << "profile cache after the tour: " << cache.counters().hits
-            << " hits / " << cache.counters().misses << " misses\n";
 
   // ---- 3. The paper's sandwich, via registry outcomes ----
   // approx gives SOL and the fractional upper bound UB; the warm-started

@@ -10,8 +10,7 @@
 // FrOptResult, BaselineResult, MipSolveSummary, LpResult).
 //
 // A `SolveContext` carries everything callers used to re-plumb ad hoc: the
-// FR-OPT options (refine configuration, worker pool, the cross-solve
-// ProfileCache the serving loop shares across epochs) and the LP/MIP time
+// FR-OPT options (refine configuration, worker pool) and the LP/MIP time
 // limits. Passing the same context to every solve is what makes an
 // experiment run exercise the exact configuration the serving loop does.
 //
@@ -52,10 +51,6 @@ struct SolverCapabilities {
   bool integral = true;
   /// Produces a fractional schedule (the DSCT-EA-FR relaxation).
   bool fractional = false;
-  /// Honours SolveContext::frOpt.sharedCache (cross-solve ProfileCache).
-  bool usesProfileCache = false;
-  /// Honours SolveContext::frOpt.pool / parallelCachedEval.
-  bool usesThreadPool = false;
   /// Exact method (MIP / LP) rather than an approximation or heuristic.
   bool exact = false;
   /// Repeat solves of the same instance under the same context are
@@ -105,8 +100,8 @@ struct LpWarmStartSlot {
 /// Shared per-call configuration, threaded through every dispatch layer
 /// instead of each one re-plumbing options ad hoc.
 struct SolveContext {
-  /// Refine options, worker pool, cross-solve ProfileCache, parallel cached
-  /// evaluation — consumed by the approx / fr-opt solvers.
+  /// Refine options and worker pool — consumed by the approx / fr-opt
+  /// solvers.
   FrOptOptions frOpt;
   /// Branch-and-bound options (time limit, node limit) for the MIP solvers.
   lp::MipOptions mip;
@@ -162,8 +157,8 @@ struct SolveOutcome {
   EnergyProfile machineLoads;
   double wallSeconds = 0.0;  ///< stamped by Solver::solve
 
-  /// FR-OPT work counters incl. cross-solve cache and slack-engine traffic;
-  /// all zero for solvers without that telemetry.
+  /// FR-OPT work counters incl. slack-engine traffic; all zero for solvers
+  /// without that telemetry.
   FrOptCounters counters;
 
   /// LP work/warm-start telemetry summed over every LP the solve ran

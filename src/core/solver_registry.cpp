@@ -190,8 +190,6 @@ SolverRegistry::SolverRegistry() {
   SolverCapabilities approxCaps;
   approxCaps.integral = true;
   approxCaps.fractional = true;
-  approxCaps.usesProfileCache = true;
-  approxCaps.usesThreadPool = true;
   approxCaps.availabilityAware = true;  // honours per-machine energy caps
   approxCaps.priceGuided = true;
   add(makeSolver(
@@ -218,8 +216,6 @@ SolverRegistry::SolverRegistry() {
   SolverCapabilities frOptCaps;
   frOptCaps.integral = false;
   frOptCaps.fractional = true;
-  frOptCaps.usesProfileCache = true;
-  frOptCaps.usesThreadPool = true;
   frOptCaps.availabilityAware = true;  // honours per-machine energy caps
   frOptCaps.priceGuided = true;
   add(makeSolver(
@@ -284,8 +280,6 @@ SolverRegistry::SolverRegistry() {
   mipCaps.exact = true;
   mipCaps.deterministic = false;  // the incumbent depends on the time limit
   SolverCapabilities mipWarmCaps = mipCaps;
-  mipWarmCaps.usesProfileCache = true;  // via the approx warm start
-  mipWarmCaps.usesThreadPool = true;
   mipWarmCaps.usesLpWarmStart = true;  // root relaxation basis carry
   add(makeSolver("mip-warm", "DSCT-EA-Opt (MIP, warm-started)", mipWarmCaps,
                  [](const Instance& inst, const SolveContext& context) {

@@ -10,7 +10,6 @@
 #include <functional>
 
 #include "core/solver_api.h"
-#include "sched/profile_cache.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -19,21 +18,14 @@ namespace dsct {
 class ExperimentRunner {
  public:
   /// threads = 0 uses hardware concurrency.
-  explicit ExperimentRunner(std::size_t threads = 0) : pool_(threads) {
-    context_.frOpt.sharedCache = &cache_;
-  }
+  explicit ExperimentRunner(std::size_t threads = 0) : pool_(threads) {}
 
   ThreadPool& pool() { return pool_; }
 
-  /// Shared solve context for every experiment of the run. It carries the
-  /// cross-solve ProfileCache — the same configuration the serving loop runs
-  /// with — so repeated solves of identical (instance, machine-state) pairs
-  /// reuse earlier FR-OPT evaluations; the sharded cache is safe to read
-  /// from parallel replications. Deliberately no thread pool: replications
-  /// already run in parallel, and the timing figures (Fig. 4, Table 1) must
-  /// measure each solve serially.
+  /// Shared solve context for every experiment of the run. Deliberately no
+  /// thread pool: replications already run in parallel, and the timing
+  /// figures (Fig. 4, Table 1) must measure each solve serially.
   SolveContext& context() { return context_; }
-  const ProfileCache& profileCache() const { return cache_; }
 
   /// Run `reps` replications of fn(replicationIndex) and aggregate.
   RunningStats replicate(int reps, const std::function<double(int)>& fn);
@@ -46,7 +38,6 @@ class ExperimentRunner {
 
  private:
   ThreadPool pool_;
-  ProfileCache cache_;
   SolveContext context_;
 };
 

@@ -1,7 +1,6 @@
 #include "sched/fr_opt.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -205,18 +204,8 @@ FrOptResult solveFrOpt(const Instance& inst,
 
 FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   const Stopwatch totalWatch;
-  ProfileEvaluator evaluator(inst, options.sharedCache);
-  // Attribute only this solve's cross-solve cache traffic to its counters.
-  const ProfileCacheCounters crossBefore =
-      options.sharedCache != nullptr ? options.sharedCache->counters()
-                                     : ProfileCacheCounters{};
-
-  std::unique_ptr<ThreadPool> ownedPool;
+  ProfileEvaluator evaluator(inst);
   ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.threads > 0) {
-    ownedPool = std::make_unique<ThreadPool>(options.threads);
-    pool = ownedPool.get();
-  }
 
   NaiveSolution naive = computeNaiveSolution(inst);
   FrOptResult result{std::move(naive.schedule), std::move(naive.profile),
@@ -347,7 +336,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
         }
       }
       const std::vector<double> probeValues =
-          evaluator.evaluateBatch(probes, pool, options.parallelCachedEval);
+          evaluator.evaluateBatch(probes, pool);
       std::vector<double> gainUp(static_cast<std::size_t>(m), 0.0);
       std::vector<double> lossDown(static_cast<std::size_t>(m), 0.0);
       for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -444,8 +433,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
         const std::vector<EnergyProfile> candidates =
             expansionCandidates(inst, loads, leftover, ceilings);
         const std::vector<double> values =
-            evaluator.evaluateBatch(candidates, pool,
-                                    options.parallelCachedEval);
+            evaluator.evaluateBatch(candidates, pool);
         // Adopting only the argmax (first on ties) matches the sequential
         // adopt-each-improving-candidate chain: the chain's final incumbent
         // is exactly the first maximal improving candidate.
@@ -507,17 +495,6 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   result.counters.slackHits = result.refineStats.slack.hits;
   result.counters.slackRebuilds = result.refineStats.slack.rebuilds;
   result.counters.slackInvalidations = result.refineStats.slack.invalidations;
-  if (options.sharedCache != nullptr) {
-    const ProfileCacheCounters crossAfter = options.sharedCache->counters();
-    result.counters.crossHits = crossAfter.hits - crossBefore.hits;
-    result.counters.crossMisses = crossAfter.misses - crossBefore.misses;
-    result.counters.crossInvalidations =
-        crossAfter.invalidations - crossBefore.invalidations;
-    result.counters.crossContended =
-        crossAfter.contended - crossBefore.contended;
-    result.counters.crossShards =
-        static_cast<long long>(options.sharedCache->shardCount());
-  }
   result.counters.totalSeconds = totalWatch.elapsedSeconds();
   return result;
 }

@@ -3,13 +3,10 @@
 // profile-space escape searches driven by the ProfileEvaluator engine.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <functional>
 #include <optional>
 
 #include "sched/energy_profile.h"
-#include "sched/profile_cache.h"
 #include "sched/profile_evaluator.h"
 #include "sched/refine_profile.h"
 #include "sched/schedule.h"
@@ -42,16 +39,12 @@ struct FrOptCounters {
   long long slackRebuilds = 0;      ///< per-machine column recomputations
   long long slackInvalidations = 0; ///< machine version bumps
 
-  // Cross-solve ProfileCache traffic attributable to this solve (all zero
-  // when no cache is attached via FrOptOptions::sharedCache).
+  /// Always 0; only perfbench reads it.
   long long crossHits = 0;
+  /// Always 0; only perfbench reads it.
   long long crossMisses = 0;
-  long long crossInvalidations = 0;
-  long long crossContended = 0;  ///< shard-mutex contention events
-  long long crossShards = 0;     ///< shard count of the attached cache
 
-  /// Folds another solve's counters in: work and time add up; crossShards
-  /// describes a cache, not traffic, so it folds with max.
+  /// Folds another solve's counters in: work and time add up.
   void add(const FrOptCounters& other) {
     evaluations += other.evaluations;
     cacheHits += other.cacheHits;
@@ -69,36 +62,18 @@ struct FrOptCounters {
     slackHits += other.slackHits;
     slackRebuilds += other.slackRebuilds;
     slackInvalidations += other.slackInvalidations;
-    crossHits += other.crossHits;
-    crossMisses += other.crossMisses;
-    crossInvalidations += other.crossInvalidations;
-    crossContended += other.crossContended;
-    crossShards = std::max(crossShards, other.crossShards);
   }
 };
 
 struct FrOptOptions {
   RefineOptions refine;
-  /// Worker threads for the independent profile evaluations (expansion
-  /// candidates, pairwise directions, derivative probes). 0 runs serially;
-  /// both modes produce bit-identical schedules — evaluations are pure
-  /// functions of their profile and all reductions are index-ordered.
-  std::size_t threads = 0;
-  /// Borrowed pool (overrides `threads`). Safe to pass the pool whose worker
-  /// is running this solve: the fan-out then executes inline.
+  /// Borrowed worker pool for the independent profile evaluations
+  /// (expansion candidates, pairwise directions, derivative probes). Null
+  /// runs serially; both modes produce bit-identical schedules — evaluations
+  /// are pure functions of their profile and all reductions are
+  /// index-ordered. Safe to pass the pool whose worker is running this
+  /// solve: the fan-out then executes inline.
   ThreadPool* pool = nullptr;
-  /// Borrowed cross-solve evaluation cache (see profile_cache.h). Attaching
-  /// one never changes the solution — shared hits are bit-identical to
-  /// fresh evaluations — it only skips repeated work across solves. The
-  /// serving loop passes one cache across all of a run's epochs.
-  ProfileCache* sharedCache = nullptr;
-  /// With both a pool and `sharedCache` set, batch evaluations look the
-  /// shared cache up from the worker threads (the cache is sharded and
-  /// thread-safe) and stage misses per index; new entries are committed
-  /// single-threaded in index order. Schedules, objectives, and cache
-  /// contents stay bit-identical to the serial path
-  /// (tests/sched_concurrent_cache_test.cpp).
-  bool parallelCachedEval = false;
   /// Cooperative stop token, polled at the outer fixed-point rounds and
   /// inside the pair/direction escape searches (and forwarded to
   /// RefineProfile's round loop). On early exit the incumbent schedule is

@@ -9,15 +9,13 @@
 
 namespace dsct {
 
-ProfileEvaluator::ProfileEvaluator(const Instance& inst, ProfileCache* shared)
-    : inst_(inst), shared_(shared) {
+ProfileEvaluator::ProfileEvaluator(const Instance& inst) : inst_(inst) {
   sortedSegments_ = makeSegmentJobs(inst.tasks());
   sortSegmentJobs(sortedSegments_);
   // Key resolution well below any meaningful profile difference (the line
   // searches stop at 1e-12 of their interval) but coarse enough that a
   // re-evaluation of the same point hits the cache despite rounding noise.
   quantum_ = std::max(inst.maxDeadline(), 1e-9) * 1e-13;
-  if (shared_ != nullptr) fingerprint_ = instanceFingerprint(inst);
 }
 
 std::size_t ProfileEvaluator::CacheKeyHash::operator()(
@@ -64,28 +62,16 @@ double ProfileEvaluator::cached(const EnergyProfile& profile) {
     ++cacheHits_;
     return it->second;
   }
-  // The shared cache is consulted only after the local memo (so attaching
-  // one cannot change which quantised key serves a lookup) and keys on the
-  // exact profile bits, so a hit equals a fresh evaluation bit for bit.
-  if (shared_ != nullptr) {
-    if (const std::optional<double> hit =
-            shared_->lookup(fingerprint_, profile)) {
-      cache_.emplace(std::move(key), *hit);
-      return *hit;
-    }
-  }
   const double value = evaluate(profile);
-  if (shared_ != nullptr) shared_->store(fingerprint_, profile, value);
   cache_.emplace(std::move(key), value);
   return value;
 }
 
 std::vector<double> ProfileEvaluator::evaluateBatch(
-    std::span<const EnergyProfile> profiles, ThreadPool* pool,
-    bool parallelCachedEval) {
+    std::span<const EnergyProfile> profiles, ThreadPool* pool) {
   std::vector<double> out(profiles.size(), 0.0);
-  // Local-memo pass on the coordinating thread, in index order. Misses stay
-  // pending; their memo inserts are deferred to the commit phase (see there).
+  // Memo pass on the coordinating thread, in index order. Misses stay
+  // pending; their memo inserts are deferred to the commit phase below.
   std::vector<std::size_t> pending;
   std::vector<CacheKey> pendingKeys;
   for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -100,69 +86,24 @@ std::vector<double> ProfileEvaluator::evaluateBatch(
     pendingKeys.push_back(std::move(key));
   }
 
-  // Resolve the pending indices into per-index staging slots. Neither branch
-  // writes a cache here: workers only *read* the sharded shared cache and
-  // compute, so the interleaving of threads cannot influence what any index
-  // resolves to.
-  struct Staged {
-    double value = 0.0;
-    bool fromShared = false;
-  };
-  std::vector<Staged> staged;
-  const bool pooled = pool != nullptr && pending.size() > 1;
-  if (pooled && parallelCachedEval && shared_ != nullptr) {
-    // Parallel cached mode: shared-cache lookups happen on the workers.
-    staged = pool->parallelMap(pending.size(), [&](std::size_t k) -> Staged {
-      const EnergyProfile& profile = profiles[pending[k]];
-      if (const std::optional<double> hit =
-              shared_->lookup(fingerprint_, profile)) {
-        return {*hit, true};
-      }
-      return {evaluate(profile), false};
+  // The misses are pure evaluations, so the pool may compute them in any
+  // interleaving.
+  std::vector<double> values;
+  if (pool != nullptr && pending.size() > 1) {
+    values = pool->parallelMap(pending.size(), [&](std::size_t k) {
+      return evaluate(profiles[pending[k]]);
     });
   } else {
-    // Serial shared lookups on the coordinating thread; the remaining pure
-    // evaluations may still fan across the pool.
-    staged.resize(pending.size());
-    std::vector<std::size_t> toCompute;
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (shared_ != nullptr) {
-        if (const std::optional<double> hit =
-                shared_->lookup(fingerprint_, profiles[pending[k]])) {
-          staged[k] = {*hit, true};
-          continue;
-        }
-      }
-      toCompute.push_back(k);
-    }
-    std::vector<double> values;
-    if (pooled && toCompute.size() > 1) {
-      values = pool->parallelMap(toCompute.size(), [&](std::size_t idx) {
-        return evaluate(profiles[pending[toCompute[idx]]]);
-      });
-    } else {
-      values.reserve(toCompute.size());
-      for (std::size_t idx = 0; idx < toCompute.size(); ++idx) {
-        values.push_back(evaluate(profiles[pending[toCompute[idx]]]));
-      }
-    }
-    for (std::size_t idx = 0; idx < toCompute.size(); ++idx) {
-      staged[toCompute[idx]] = {values[idx], false};
-    }
+    values.reserve(pending.size());
+    for (const std::size_t i : pending) values.push_back(evaluate(profiles[i]));
   }
 
-  // Commit phase: single-threaded, in index order — the only place either
-  // cache is written, so cache contents are identical across all modes.
-  // Shared-cache hits join the same deferred memoisation as computed misses:
-  // memoising them inline would let an intra-batch quantised-key collision
-  // serve a shared value where the cache-less run computes its own, breaking
-  // the "attaching a cache never changes results" contract.
+  // Commit phase: single-threaded, in index order — the only place the memo
+  // is written, so its contents are identical in both modes, and two misses
+  // of one batch that share a quantised key are each computed.
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    out[pending[k]] = staged[k].value;
-    if (!staged[k].fromShared && shared_ != nullptr) {
-      shared_->store(fingerprint_, profiles[pending[k]], staged[k].value);
-    }
-    cache_.emplace(std::move(pendingKeys[k]), staged[k].value);
+    out[pending[k]] = values[k];
+    cache_.emplace(std::move(pendingKeys[k]), values[k]);
   }
   return out;
 }

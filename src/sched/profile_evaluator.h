@@ -10,10 +10,9 @@
 // Algorithm 1 → accuracy, no schedule matrix), memoises answers keyed on
 // the quantised profile vector, and exposes counters so benchmarks can see
 // where the work goes. Batch evaluation optionally fans misses across a
-// ThreadPool — and, in the parallel cached mode, reads the sharded
-// cross-solve cache from the workers; every mode computes bit-identical
-// values and commits cache writes single-threaded in index order, so results
-// and cache contents are deterministic regardless of interleaving.
+// ThreadPool; both modes compute bit-identical values and commit memo
+// writes single-threaded in index order, so results and memo contents are
+// deterministic regardless of interleaving.
 #pragma once
 
 #include <atomic>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "sched/energy_profile.h"
-#include "sched/profile_cache.h"
 #include "sched/schedule.h"
 #include "sched/single_machine.h"
 #include "sched/types.h"
@@ -42,15 +40,7 @@ struct EvaluatorCounters {
 
 class ProfileEvaluator {
  public:
-  /// `shared` (optional, borrowed) is a cross-solve ProfileCache consulted
-  /// on local-memo misses and fed every newly computed answer. Shared hits
-  /// are bit-identical to fresh evaluations (exact-bit keys; see
-  /// profile_cache.h), so attaching a cache never changes results. Stores
-  /// happen on the coordinating thread only; lookups run there too unless
-  /// evaluateBatch's parallel cached mode is requested (the cache is sharded
-  /// and thread-safe, so workers may read it concurrently).
-  explicit ProfileEvaluator(const Instance& inst,
-                            ProfileCache* shared = nullptr);
+  explicit ProfileEvaluator(const Instance& inst);
 
   ProfileEvaluator(const ProfileEvaluator&) = delete;
   ProfileEvaluator& operator=(const ProfileEvaluator&) = delete;
@@ -66,18 +56,14 @@ class ProfileEvaluator {
   double cached(const EnergyProfile& profile);
 
   /// Evaluate many profiles, serving memoised answers and computing the
-  /// misses — in index order serially, or via `pool` when given. With
-  /// `parallelCachedEval` set (and a pool and a shared cache attached), the
-  /// workers additionally look the sharded shared cache up concurrently and
-  /// stage their results per index; a single-threaded commit phase then
-  /// inserts new answers into both caches in index order. All modes produce
-  /// bit-identical values *and* bit-identical cache contents — evaluations
-  /// are pure functions of their profile, lookups never mutate, and every
-  /// write happens in the index-ordered commit phase regardless of how the
-  /// workers interleave (tests/sched_concurrent_cache_test.cpp).
+  /// misses — in index order serially, or via `pool` when given. Both modes
+  /// produce bit-identical values *and* bit-identical memo contents:
+  /// evaluations are pure functions of their profile, and every memo write
+  /// happens in an index-ordered commit phase after all misses are computed,
+  /// so two misses that share a quantised key are each computed
+  /// (tests/sched_pooled_eval_test.cpp).
   std::vector<double> evaluateBatch(std::span<const EnergyProfile> profiles,
-                                    ThreadPool* pool,
-                                    bool parallelCachedEval = false);
+                                    ThreadPool* pool);
 
   /// Full optimal schedule for `profile` (Algorithm 2's core), reusing the
   /// pre-sorted segment list. Thread-safe.
@@ -98,9 +84,6 @@ class ProfileEvaluator {
   const Instance& inst_;
   std::vector<SegmentJob> sortedSegments_;  ///< slope-desc, built once
   double quantum_;  ///< cache-key resolution (seconds of profile)
-
-  ProfileCache* shared_;           ///< cross-solve cache (may be null)
-  std::uint64_t fingerprint_ = 0;  ///< instance fingerprint (when shared)
 
   std::unordered_map<CacheKey, double, CacheKeyHash> cache_;
   mutable std::atomic<long long> evaluations_{0};

@@ -179,13 +179,8 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   stats_.budgetAssigned = assigned;
 
   // --- per-cell cross-epoch state ---
-  if (cellStates_.size() != cells.size()) {
-    cellStates_.clear();
-    cellStates_.resize(cells.size());
-    for (CellState& state : cellStates_) {
-      state.cache =
-          std::make_unique<ProfileCache>(options_.cacheEntriesPerCell);
-    }
+  if (cellWarm_.size() != cells.size()) {
+    cellWarm_.assign(cells.size(), LpWarmStartSlot{});
   }
 
   // --- per-cell availability slices ---
@@ -216,8 +211,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
                              double price) -> SolveOutcome {
     if (cells[c].tasks.empty()) return SolveOutcome{};
     SolveContext cellContext = context;
-    cellContext.frOpt.sharedCache = cellStates_[c].cache.get();
-    cellContext.lpWarm = &cellStates_[c].lpWarm;
+    cellContext.lpWarm = &cellWarm_[c];
     cellContext.availability =
         cellHints.empty() ? nullptr : &cellHints[c];
     cellContext.energyPrice = price;
@@ -376,12 +370,10 @@ ShardedSolver::ShardedSolver(const Solver& inner, ShardOptions options)
                    std::to_string(options.cells) + ")") {}
 
 SolverCapabilities ShardedSolver::capabilities() const {
-  SolverCapabilities caps = coordinator_.inner().capabilities();
-  // The coordinator owns per-cell caches and warm-start slots, so the
-  // context-level ones are unused; keep the flags as the inner solver's so
-  // callers still provision the shared pool. Determinism is preserved: the
+  // The inner solver's. The coordinator hands each cell its own warm-start
+  // slot, so a context-level slot goes unused. Determinism is preserved: the
   // partition, the price loop, and the index-ordered merge are all pure.
-  return caps;
+  return coordinator_.inner().capabilities();
 }
 
 SolveOutcome ShardedSolver::doSolve(const Instance& inst,

@@ -9,8 +9,8 @@
 // fits B, hands every cell its demand share B_c as an independent budget,
 // solves the cells in parallel through the regular Solver interface, and
 // finally re-solves budget-bound cells with the run's leftover energy (the
-// top-up pass). Each cell keeps its own cross-epoch ProfileCache and LP
-// warm-start slot, so sharded serving retains the single-cell reuse wins.
+// top-up pass). Each cell keeps its own cross-epoch LP warm-start slot, so
+// sharded serving retains the single-cell warm starts.
 //
 // With K <= 1 the coordinator delegates to the inner solver with the
 // context untouched — bit-identical to not having a coordinator at all
@@ -18,12 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/solver_api.h"
-#include "sched/profile_cache.h"
 #include "shard/partitioner.h"
 
 namespace dsct::shard {
@@ -49,8 +47,6 @@ struct ShardOptions {
   double budgetTolerance = 0.01;
   /// Re-solve budget-bound cells with the run's leftover energy.
   bool topUp = true;
-  /// Entry bound of each cell's cross-epoch ProfileCache.
-  std::size_t cacheEntriesPerCell = 1 << 18;
 };
 
 /// Per-solve observability (read via lastStats after each solve).
@@ -67,7 +63,7 @@ struct ShardStats {
 };
 
 /// Runs sharded solves through an inner registry solver. Stateful across
-/// solves (per-cell caches and warm-start slots persist between epochs), so
+/// solves (per-cell warm-start slots persist between epochs), so
 /// a coordinator must not run two solves concurrently — the serving loop's
 /// at-most-one-solve-in-flight rule, same as LpWarmStartSlot.
 class ShardCoordinator {
@@ -82,15 +78,9 @@ class ShardCoordinator {
   const ShardStats& lastStats() const { return stats_; }
 
  private:
-  /// Cross-epoch resources of one cell.
-  struct CellState {
-    std::unique_ptr<ProfileCache> cache;
-    LpWarmStartSlot lpWarm;
-  };
-
   const Solver& inner_;
   ShardOptions options_;
-  std::vector<CellState> cellStates_;
+  std::vector<LpWarmStartSlot> cellWarm_;  ///< one per cell, across solves
   ShardStats stats_;
 };
 

@@ -6,8 +6,8 @@
 // always drains the returned future before reusing any of the referenced
 // state — deadlines are enforced by the cooperative CancelToken inside the
 // SolveContext, never by abandoning the future — so at most one background
-// solve exists at a time and shared resources (the cross-solve ProfileCache,
-// the solver worker pool) are never touched from two threads at once.
+// solve exists at a time and shared resources (the LP warm-start slot, the
+// solver worker pool) are never touched from two threads at once.
 #pragma once
 
 #include <future>

@@ -15,7 +15,6 @@
 #include "accuracy/fit.h"
 #include "core/solver_api.h"
 #include "core/solver_registry.h"
-#include "sched/profile_cache.h"
 #include "sched/validator.h"
 #include "shard/coordinator.h"
 #include "sim/epoch_pipeline.h"
@@ -204,7 +203,6 @@ class ServingRun {
   const Solver* primary_ = nullptr;
   std::vector<const Solver*> chain_;
 
-  std::optional<ProfileCache> crossCache_;
   std::unique_ptr<ThreadPool> solverPool_;
   std::optional<LpWarmStartSlot> lpWarmSlot_;
   SolveContext solveCtx_;
@@ -290,8 +288,8 @@ ServingRun::ServingRun(const std::vector<Machine>& machines,
   basePrimary_ = &resolveServingSolver(policy);
   // Sharded serving wraps the primary in a run-local ShardedSolver, which
   // every attempt then treats as a normal Solver. The coordinator is
-  // stateful (per-cell caches, warm-start slots), which is safe because at
-  // most one solve is in flight. Fallback attempts use registry solvers
+  // stateful (per-cell warm-start slots), which is safe because at most one
+  // solve is in flight. Fallback attempts use registry solvers
   // directly, so the safety net never depends on the shard layer.
   if (options.shards > 1) {
     shard::ShardOptions shardOptions;
@@ -306,32 +304,23 @@ ServingRun::ServingRun(const std::vector<Machine>& machines,
     chain_.push_back(&resolveServingSolver(name));
   }
 
-  // Shared resources are capability-driven; the chain contributes only in
-  // guarded runs, the only runs that consult it.
-  SolverCapabilities wants = primary_->capabilities();
+  // The LP warm-start slot is capability-driven; the chain contributes only
+  // in guarded runs, the only runs that consult it. It is carried across the
+  // run's epochs and changes only the work, never the results: one epoch's
+  // optimal basis seeds the next epoch's LP when the instance structure
+  // matches. Sharded runs get a worker pool, on which the coordinator fans
+  // the cell solves out.
+  bool wantsLpWarm = primary_->capabilities().usesLpWarmStart;
   if (guarded_) {
     for (const Solver* fb : chain_) {
-      const SolverCapabilities caps = fb->capabilities();
-      wants.usesProfileCache = wants.usesProfileCache || caps.usesProfileCache;
-      wants.usesThreadPool = wants.usesThreadPool || caps.usesThreadPool;
-      wants.usesLpWarmStart = wants.usesLpWarmStart || caps.usesLpWarmStart;
+      wantsLpWarm = wantsLpWarm || fb->capabilities().usesLpWarmStart;
     }
   }
-  // The cross-solve cache, the worker pool and the LP warm-start slot are
-  // carried across the run's epochs; none of them changes results, only
-  // the work. Epochs with an identical batch on an identical machine state
-  // reuse earlier FR-OPT evaluations; one epoch's optimal basis seeds the
-  // next epoch's LP when the instance structure matches. Sharded runs
-  // always get a pool: the coordinator fans the cell solves out on it.
-  if (options.crossSolveCache && wants.usesProfileCache) crossCache_.emplace();
-  if ((options.parallelCachedEval && wants.usesThreadPool) ||
-      shardedPrimary_ != nullptr) {
+  if (shardedPrimary_ != nullptr) {
     solverPool_ = std::make_unique<ThreadPool>(options.solverThreads);
   }
-  if (options.lpWarmStarts && wants.usesLpWarmStart) lpWarmSlot_.emplace();
-  solveCtx_.frOpt.sharedCache = crossCache_ ? &*crossCache_ : nullptr;
+  if (options.lpWarmStarts && wantsLpWarm) lpWarmSlot_.emplace();
   solveCtx_.frOpt.pool = solverPool_.get();
-  solveCtx_.frOpt.parallelCachedEval = options.parallelCachedEval;
   solveCtx_.lpWarm = lpWarmSlot_ ? &*lpWarmSlot_ : nullptr;
   if (options.asyncServing) {
     pipeline_ = std::make_unique<AsyncSolvePipeline>();
@@ -434,15 +423,6 @@ ServingStats ServingRun::run() {
   stats_.lpWarmStartsUsed = lpTotals_.warmStartsUsed;
   stats_.lpWarmStartsRepaired = lpTotals_.warmStartsRepaired;
   stats_.lpWarmStartsRejected = lpTotals_.warmStartsRejected;
-  if (crossCache_) {
-    const ProfileCacheCounters cc = crossCache_->counters();
-    stats_.profileCacheHits = cc.hits;
-    stats_.profileCacheMisses = cc.misses;
-    stats_.profileCacheInvalidations = cc.invalidations;
-    stats_.profileCacheContended = cc.contended;
-    stats_.profileCacheShards =
-        static_cast<long long>(crossCache_->shardCount());
-  }
   return stats_;
 }
 

@@ -121,21 +121,9 @@ struct ServingOptions {
   /// Run the feasibility validator on every epoch's schedule and fall back
   /// when it rejects. Implied by faults.enabled and epochTimeLimitSeconds.
   bool validateEpochs = false;
-  /// Carry a cross-solve ProfileCache (sched/profile_cache.h) across the
-  /// run's epochs for solvers with the `usesProfileCache` capability, so
-  /// FR-OPT re-solves of an already-seen (instance, machine-state) pair reuse
-  /// earlier evaluations. The cache key fingerprints the whole epoch
-  /// instance, so crashes and budget shocks never serve stale answers.
-  /// Results are bit-identical with the cache on or off (pinned by
-  /// tests/serving_backlog_test.cpp); only the work differs.
-  bool crossSolveCache = true;
-  /// Run FR-OPT's batch evaluations on a worker pool whose workers read the
-  /// sharded cross-solve cache concurrently; writes stay single-threaded and
-  /// index-ordered inside the evaluator's commit phase, so serving results
-  /// are bit-identical with this flag on or off (pinned by
-  /// tests/serving_backlog_test.cpp). For `usesThreadPool` solvers.
-  bool parallelCachedEval = false;
-  /// Worker threads for parallelCachedEval; 0 means hardware concurrency.
+  /// Worker threads of the pool a sharded run (`shards` > 1) solves its
+  /// cells on; 0 means hardware concurrency. Results do not depend on it
+  /// (tests/serving_shard_test.cpp).
   std::size_t solverThreads = 0;
   /// Carry an LP warm-start slot (core/solver_api.h LpWarmStartSlot) across
   /// the run's epochs for solvers with the `usesLpWarmStart` capability
@@ -246,13 +234,14 @@ struct ServingStats {
                                         ///< cap outside the budget tolerance
   std::vector<EpochIncident> incidents;
 
-  // Cross-solve ProfileCache traffic over the whole run (all zero when
-  // ServingOptions::crossSolveCache is off or no solver uses the cache).
+  /// Always 0; only perfbench reads it.
   long long profileCacheHits = 0;
+  /// Always 0; only perfbench reads it.
   long long profileCacheMisses = 0;
+  /// Always 0; only perfbench reads it.
   long long profileCacheInvalidations = 0;
-  long long profileCacheContended = 0;  ///< shard-mutex contention events
-  long long profileCacheShards = 0;     ///< shard count of the run's cache
+  /// Always 0; only perfbench reads it.
+  long long profileCacheShards = 0;
 
   // LP work over the whole run, summed from SolveOutcome::lpCounters (all
   // zero for policies without an LP). used/repaired count every warm basis

@@ -96,7 +96,7 @@ bool Model::isFeasible(std::span<const double> x, double tol) const {
 
 namespace {
 
-// FNV-1a, the same construction the ProfileCache fingerprints use.
+// FNV-1a over 64-bit words.
 inline void hashMix(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
   h *= 1099511628211ULL;

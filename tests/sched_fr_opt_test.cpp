@@ -1,6 +1,7 @@
 #include "sched/fr_opt.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -191,30 +192,48 @@ TEST(FrOpt, ReportsCounters) {
 
 TEST(FrOpt, ParallelMatchesSerialBitwise) {
   // The fan-out only distributes pure evaluations and every reduction is
-  // index-ordered, so the parallel solve must reproduce the serial one to
-  // the last bit — schedules, metrics and work counters alike.
-  for (int rep = 0; rep < 4; ++rep) {
-    const Instance inst = randomInstance(deriveSeed(4242, rep),
-                                         8 + 2 * rep, 2 + rep % 3,
-                                         0.3, 0.5, 0.1, 2.0);
+  // index-ordered, so a solve on a borrowed pool must reproduce the serial
+  // one to the last bit — schedules, profiles, metrics and work counters
+  // alike. Random instances run on 3 workers and the seeded five-regime
+  // corpus on an oversubscribed 8, so the workers interleave arbitrarily
+  // (the tsan preset runs this test).
+  const auto expectPooledMatchesSerial = [](const Instance& inst,
+                                            ThreadPool& pool) {
     const FrOptResult serial = solveFrOpt(inst, FrOptOptions{});
     FrOptOptions parOptions;
-    parOptions.threads = 3;
+    parOptions.pool = &pool;
     const FrOptResult parallel = solveFrOpt(inst, parOptions);
 
-    EXPECT_EQ(serial.totalAccuracy, parallel.totalAccuracy) << "rep " << rep;
-    EXPECT_EQ(serial.energy, parallel.energy) << "rep " << rep;
+    EXPECT_EQ(serial.totalAccuracy, parallel.totalAccuracy);
+    EXPECT_EQ(serial.energy, parallel.energy);
+    EXPECT_EQ(serial.refinedProfile, parallel.refinedProfile);
+    EXPECT_EQ(serial.naiveProfile, parallel.naiveProfile);
     ASSERT_EQ(serial.schedule.numTasks(), parallel.schedule.numTasks());
+    ASSERT_EQ(serial.schedule.numMachines(), parallel.schedule.numMachines());
     for (int j = 0; j < serial.schedule.numTasks(); ++j) {
       for (int r = 0; r < serial.schedule.numMachines(); ++r) {
         EXPECT_EQ(serial.schedule.at(j, r), parallel.schedule.at(j, r))
-            << "rep " << rep << " t[" << j << "][" << r << "]";
+            << "t[" << j << "][" << r << "]";
       }
     }
     EXPECT_EQ(serial.counters.evaluations, parallel.counters.evaluations);
     EXPECT_EQ(serial.counters.cacheHits, parallel.counters.cacheHits);
     EXPECT_EQ(serial.counters.pairMoves, parallel.counters.pairMoves);
     EXPECT_EQ(serial.counters.directionSteps, parallel.counters.directionSteps);
+  };
+
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 4; ++rep) {
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    expectPooledMatchesSerial(randomInstance(deriveSeed(4242, rep),
+                                             8 + 2 * rep, 2 + rep % 3,
+                                             0.3, 0.5, 0.1, 2.0),
+                              pool);
+  }
+  ThreadPool oversubscribed(8);
+  for (int c = 0; c < 3 * testing::kCorpusRegimes; ++c) {
+    SCOPED_TRACE("corpus case " + std::to_string(c));
+    expectPooledMatchesSerial(testing::corpusInstance(77, c), oversubscribed);
   }
 }
 

@@ -1,5 +1,4 @@
-// Differential harness for RefineProfile's incremental slack engine and the
-// cross-solve ProfileCache.
+// Differential harness for RefineProfile's incremental slack engine.
 //
 // The incremental engine (sched/slack_engine.h) replaces the per-candidate
 // O(n) deadline-slack scan with a (task, machine) memo over per-machine
@@ -8,13 +7,11 @@
 // loose and tight budgets, strict deadlines, zero-slope degenerate tasks,
 // horizon-bound profiles) every refined schedule entry, objective, and
 // shared counter must equal the forced-scratch run bit for bit. The same
-// harness pins the cross-solve cache (attaching one never changes a solve)
-// and a golden FR-OPT objective on a mid-size corpus instance.
+// harness pins a golden FR-OPT objective on a mid-size corpus instance.
 #include <gtest/gtest.h>
 
 #include "sched/fr_opt.h"
 #include "sched/naive_solution.h"
-#include "sched/profile_cache.h"
 #include "sched/refine_profile.h"
 #include "sched/slack_engine.h"
 #include "tests/test_support.h"
@@ -154,53 +151,6 @@ TEST(SlackCacheDifferential, SlackEngineMatchesScratchQueryByQuery) {
     }
     EXPECT_GT(fast.counters().hits, 0) << "case " << c;
   }
-}
-
-TEST(SlackCacheDifferential, CrossSolveCacheNeverChangesSolutions) {
-  // Solving the same instance repeatedly through one shared cache must
-  // reproduce the cache-less solve bit for bit while the repeats hit.
-  ProfileCache cache;
-  for (int c = 0; c < kCorpusRegimes; ++c) {
-    const Instance inst =
-        corpusInstance(deriveSeed(99u, static_cast<std::uint64_t>(c)), c);
-    const FrOptResult cold = solveFrOpt(inst, FrOptOptions{});
-    FrOptOptions withCache;
-    withCache.sharedCache = &cache;
-    const FrOptResult first = solveFrOpt(inst, withCache);
-    const FrOptResult second = solveFrOpt(inst, withCache);
-    EXPECT_EQ(first.totalAccuracy, cold.totalAccuracy) << "case " << c;
-    EXPECT_EQ(second.totalAccuracy, cold.totalAccuracy) << "case " << c;
-    for (int j = 0; j < inst.numTasks(); ++j) {
-      for (int r = 0; r < inst.numMachines(); ++r) {
-        EXPECT_EQ(first.schedule.at(j, r), cold.schedule.at(j, r));
-        EXPECT_EQ(second.schedule.at(j, r), cold.schedule.at(j, r));
-      }
-    }
-    EXPECT_EQ(first.counters.crossHits, 0) << "case " << c;
-    EXPECT_GT(second.counters.crossHits, 0) << "case " << c;
-  }
-  EXPECT_EQ(cache.counters().invalidations, 0);
-}
-
-TEST(SlackCacheDifferential, CacheDistinguishesMachineStates) {
-  // Same tasks, different machine state (one machine lost): the fingerprint
-  // must differ, so nothing from the 2-machine solve can serve the
-  // 1-machine solve.
-  const Instance full = testing::tinyInstance(500.0);
-  std::vector<Task> tasks = full.tasks();
-  std::vector<Machine> degraded{full.machine(0)};
-  const Instance reduced(tasks, degraded, 500.0);
-  EXPECT_NE(instanceFingerprint(full), instanceFingerprint(reduced));
-
-  ProfileCache cache;
-  FrOptOptions withCache;
-  withCache.sharedCache = &cache;
-  const FrOptResult a = solveFrOpt(full, withCache);
-  const FrOptResult b = solveFrOpt(reduced, withCache);
-  EXPECT_EQ(b.counters.crossHits, 0);
-  const FrOptResult coldReduced = solveFrOpt(reduced, FrOptOptions{});
-  EXPECT_EQ(b.totalAccuracy, coldReduced.totalAccuracy);
-  (void)a;
 }
 
 TEST(FrOptGolden, MidSizeObjectivePinned) {

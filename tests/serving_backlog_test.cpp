@@ -12,9 +12,6 @@
 namespace dsct {
 namespace {
 
-using testing::expectSameServing;
-using testing::withoutCacheTraffic;
-
 PiecewiseLinearAccuracy sample() {
   return PiecewiseLinearAccuracy::fromPoints({0.0, 1.0, 2.0, 4.0},
                                              {0.1, 0.5, 0.7, 0.9});
@@ -119,109 +116,6 @@ TEST(BacklogServing, DeterministicWithSeed) {
   const auto b = sim::runServing(machines, "edf3", options);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_DOUBLE_EQ(a.meanAccuracy, b.meanAccuracy);
-}
-
-TEST(CrossEpochCache, BitIdenticalWithAndWithoutCache) {
-  // Cache-enabled serving must reproduce cache-disabled serving bit for bit;
-  // only the ProfileCache traffic counters may differ. Backlog carry-over is
-  // on so consecutive epochs actually resemble each other — the regime the
-  // cache exists for.
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  sim::ServingOptions options;
-  options.arrivalRatePerSecond = 15.0;
-  options.horizonSeconds = 4.0;
-  options.epochSeconds = 0.5;
-  options.relDeadlineLo = 1.0;
-  options.relDeadlineHi = 3.0;
-  options.energyBudgetPerEpoch = 25.0;
-  options.seed = 41;
-  options.carryBacklog = true;
-  options.crossSolveCache = true;
-  const auto cached = sim::runServing(machines, "approx", options);
-  options.crossSolveCache = false;
-  const auto fresh = sim::runServing(machines, "approx", options);
-  expectSameServing(withoutCacheTraffic(cached), withoutCacheTraffic(fresh));
-  // The cache must actually be in play on the enabled run and absent on the
-  // disabled one.
-  EXPECT_GT(cached.profileCacheMisses, 0);
-  EXPECT_EQ(fresh.profileCacheHits, 0);
-  EXPECT_EQ(fresh.profileCacheMisses, 0);
-  EXPECT_EQ(fresh.profileCacheInvalidations, 0);
-}
-
-TEST(CrossEpochCache, BitIdenticalUnderFaultTraces) {
-  // Crashes change the alive-machine set, budget shocks change the epoch
-  // budget — both alter the instance fingerprint, so the cache must never
-  // serve a stale answer across them. Mirrors the fault mix pinned by
-  // serving_faults_test.
-  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
-  sim::ServingOptions options;
-  options.arrivalRatePerSecond = 12.0;
-  options.horizonSeconds = 5.0;
-  options.epochSeconds = 0.5;
-  options.relDeadlineLo = 0.5;
-  options.relDeadlineHi = 2.5;
-  options.energyBudgetPerEpoch = 40.0;
-  options.seed = 43;
-  options.carryBacklog = true;
-  options.faults.enabled = true;
-  options.faults.seed = 99;
-  options.faults.mtbfSeconds = 2.0;
-  options.faults.mttrSeconds = 1.0;
-  options.faults.budgetShockProbability = 0.5;
-  options.faults.budgetShockFactor = 0.3;
-  options.faults.maxRetries = 2;
-  options.faults.injectPolicyFailureEpochs = {3};
-  options.crossSolveCache = true;
-  const auto cached = sim::runServing(machines, "approx", options);
-  options.crossSolveCache = false;
-  const auto fresh = sim::runServing(machines, "approx", options);
-  expectSameServing(withoutCacheTraffic(cached), withoutCacheTraffic(fresh));
-  EXPECT_GT(cached.profileCacheMisses, 0);
-  EXPECT_EQ(fresh.profileCacheMisses, 0);
-}
-
-TEST(CrossEpochCache, BitIdenticalWithParallelCachedEval) {
-  // Running the epoch solver's batch evaluations on an oversubscribed
-  // worker pool with concurrent shared-cache reads must reproduce the
-  // single-threaded run bit for bit — including the cache traffic counters;
-  // only contention (a lock-timing measurement) may differ.
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  sim::ServingOptions options;
-  options.arrivalRatePerSecond = 15.0;
-  options.horizonSeconds = 4.0;
-  options.epochSeconds = 0.5;
-  options.relDeadlineLo = 1.0;
-  options.relDeadlineHi = 3.0;
-  options.energyBudgetPerEpoch = 25.0;
-  options.seed = 41;
-  options.carryBacklog = true;
-  options.crossSolveCache = true;
-  options.parallelCachedEval = true;
-  options.solverThreads = 8;
-  const auto parallel = sim::runServing(machines, "approx", options);
-  options.parallelCachedEval = false;
-  const auto serial = sim::runServing(machines, "approx", options);
-  expectSameServing(parallel, serial);
-  EXPECT_EQ(parallel.profileCacheHits, serial.profileCacheHits);
-  EXPECT_EQ(parallel.profileCacheMisses, serial.profileCacheMisses);
-  EXPECT_EQ(parallel.profileCacheInvalidations,
-            serial.profileCacheInvalidations);
-  EXPECT_GT(parallel.profileCacheShards, 0);
-}
-
-TEST(CrossEpochCache, CountersZeroForNonApproxPolicies) {
-  // The cache rides the FR-OPT evaluator; EDF policies never touch it even
-  // with the option left on.
-  const auto machines = machinesFromCatalog({"T4"});
-  sim::ServingOptions options;
-  options.horizonSeconds = 2.0;
-  options.seed = 47;
-  options.crossSolveCache = true;
-  const auto stats = sim::runServing(machines, "edf3", options);
-  EXPECT_EQ(stats.profileCacheHits, 0);
-  EXPECT_EQ(stats.profileCacheMisses, 0);
-  EXPECT_EQ(stats.profileCacheInvalidations, 0);
 }
 
 TEST(BacklogServing, WorksWithRenewableSupply) {

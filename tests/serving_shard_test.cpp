@@ -62,10 +62,15 @@ TEST(ServingShard, ShardedRunReportsCoordinatorStats) {
 }
 
 TEST(ServingShard, ShardedRunIsReplayable) {
+  // The cell solves fan out on the run's worker pool, and a cell solving on
+  // a worker runs its own profile evaluations inline. A replay on one worker
+  // and on an oversubscribed eight must serve the same run field for field.
   sim::ServingOptions options = baseOptions();
   options.shards = 3;
+  options.solverThreads = 1;
   const sim::ServingStats a =
       sim::runServing(fleet(), std::string("approx"), options);
+  options.solverThreads = 8;
   const sim::ServingStats b =
       sim::runServing(fleet(), std::string("approx"), options);
   expectSameServing(a, b);

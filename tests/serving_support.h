@@ -8,11 +8,9 @@
 namespace dsct::testing {
 
 /// Every ServingStats field of `a` and `b` must match exactly — doubles
-/// bit for bit, the incident log entry for entry. The one exception is
-/// profileCacheContended, which counts timing-dependent lock contention.
-/// An A/B test zeroes, in both runs, only the fields its switch is meant to
-/// move: asyncEpochs for sync vs async, the profileCache* counters for the
-/// cache on vs off.
+/// bit for bit, the incident log entry for entry. An A/B test zeroes, in
+/// both runs, only the fields its switch is meant to move: asyncEpochs for
+/// sync vs async.
 inline void expectSameServing(const sim::ServingStats& a,
                               const sim::ServingStats& b) {
   EXPECT_EQ(a.requests, b.requests);
@@ -57,15 +55,6 @@ inline void expectSameServing(const sim::ServingStats& a,
 /// `s` without the counter that async serving moves.
 inline sim::ServingStats withoutAsyncEpochs(sim::ServingStats s) {
   s.asyncEpochs = 0;
-  return s;
-}
-
-/// `s` without the cross-solve cache's traffic counters.
-inline sim::ServingStats withoutCacheTraffic(sim::ServingStats s) {
-  s.profileCacheHits = 0;
-  s.profileCacheMisses = 0;
-  s.profileCacheInvalidations = 0;
-  s.profileCacheShards = 0;
   return s;
 }
 

@@ -1,7 +1,7 @@
 // The exact serving comparison of tests/serving_support.h, checked on
 // hand-built stats: a one-count or one-ulp change in any compared field
-// fails exactly the expectation on that field, the contention counter is
-// ignored, and each mask clears only the counters its A/B switch moves.
+// fails exactly the expectation on that field, and the mask clears only the
+// counter its A/B switch moves.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@ namespace {
 
 using testing::expectSameServing;
 using testing::withoutAsyncEpochs;
-using testing::withoutCacheTraffic;
 
 /// Stats with every field set to a distinct non-zero value.
 sim::ServingStats populated() {
@@ -56,7 +55,6 @@ sim::ServingStats populated() {
   s.profileCacheHits = 23;
   s.profileCacheMisses = 24;
   s.profileCacheInvalidations = 25;
-  s.profileCacheContended = 26;
   s.profileCacheShards = 27;
   s.lpPivots = 28;
   s.lpRefactorizations = 29;
@@ -132,15 +130,6 @@ TEST(ExpectSameServing, FlagsEachFieldOnItsOwn) {
   }
 }
 
-TEST(ExpectSameServing, IgnoresLockContention) {
-  // profileCacheContended counts timing-dependent lock contention, which two
-  // runs of the same workload need not share.
-  const sim::ServingStats a = populated();
-  sim::ServingStats b = a;
-  b.profileCacheContended = 0;
-  expectSameServing(a, b);
-}
-
 TEST(ExpectSameServing, MasksClearOnlyTheirSwitchCounters) {
   const sim::ServingStats s = populated();
 
@@ -148,17 +137,6 @@ TEST(ExpectSameServing, MasksClearOnlyTheirSwitchCounters) {
   EXPECT_EQ(sync.asyncEpochs, 0);
   sync.asyncEpochs = s.asyncEpochs;
   expectSameServing(s, sync);
-
-  sim::ServingStats uncached = withoutCacheTraffic(s);
-  EXPECT_EQ(uncached.profileCacheHits, 0);
-  EXPECT_EQ(uncached.profileCacheMisses, 0);
-  EXPECT_EQ(uncached.profileCacheInvalidations, 0);
-  EXPECT_EQ(uncached.profileCacheShards, 0);
-  uncached.profileCacheHits = s.profileCacheHits;
-  uncached.profileCacheMisses = s.profileCacheMisses;
-  uncached.profileCacheInvalidations = s.profileCacheInvalidations;
-  uncached.profileCacheShards = s.profileCacheShards;
-  expectSameServing(s, uncached);
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 // the merged schedule, and the ShardedSolver adapter surface.
 #include "shard/coordinator.h"
 
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/solver_registry.h"
-#include "sched/profile_cache.h"
 #include "tests/test_support.h"
 #include "util/thread_pool.h"
 
@@ -129,32 +132,45 @@ TEST(ShardCoordinator, ParallelCellSolvesMatchSerial) {
   EXPECT_EQ(parallelOutcome.energy, serialOutcome.energy);
 }
 
-TEST(ShardCoordinator, CrossEpochCellCachesPersist) {
-  const Solver& inner = innerSolver();
+TEST(ShardCoordinator, CellWarmSlotsPersistAcrossSolves) {
+  // A cell's LP warm-start slot is its only cross-solve state. Every solve
+  // must hand each cell one slot of its own, at the price and in the top-up
+  // alike, and the same slots again on the next solve.
+  std::mutex mutex;
+  std::vector<std::pair<const LpWarmStartSlot*, bool>> calls;  // slot, priced
+  const std::unique_ptr<Solver> recorder = makeSolver(
+      "test-slot-recorder", "slot recorder", innerSolver().capabilities(),
+      [&](const Instance& inst, const SolveContext& context) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          calls.emplace_back(context.lpWarm, context.energyPrice >= 0.0);
+        }
+        return innerSolver().solve(inst, context);
+      });
   const Instance inst = testing::randomInstance(41, 30, 6, 0.35, 0.25);
   ShardOptions options;
   options.cells = 3;
-  ShardCoordinator coordinator(inner, options);
-  const SolveOutcome first = coordinator.solve(inst, SolveContext{});
-  const SolveOutcome second = coordinator.solve(inst, SolveContext{});
-  // Same instance, same budgets: the second epoch replays and the per-cell
-  // cross-solve ProfileCaches supply hits the first epoch had to compute
-  // (crossHits counts shared-cache traffic; cacheHits is solve-local).
-  EXPECT_EQ(second.totalAccuracy, first.totalAccuracy);
-  EXPECT_GT(second.counters.crossHits, first.counters.crossHits);
-}
-
-TEST(ShardCoordinator, CrossShardsCountsOneCacheNotTheirSum) {
-  // crossShards is the shard count of a cache, not traffic: K cells with
-  // one ProfileCache each still report a single cache's count.
-  const Instance inst = testing::randomInstance(41, 30, 6, 0.35, 0.25);
-  ShardOptions options;
-  options.cells = 3;
-  ShardCoordinator coordinator(innerSolver(), options);
-  const SolveOutcome outcome = coordinator.solve(inst, SolveContext{});
-  ASSERT_EQ(coordinator.lastStats().cells, 3);
-  EXPECT_EQ(outcome.counters.crossShards,
-            static_cast<long long>(ProfileCache::kDefaultShards));
+  ShardCoordinator coordinator(*recorder, options);
+  std::set<const LpWarmStartSlot*> previous;
+  for (int solve = 0; solve < 2; ++solve) {
+    SCOPED_TRACE("solve " + std::to_string(solve));
+    calls.clear();
+    coordinator.solve(inst, SolveContext{});
+    ASSERT_EQ(coordinator.lastStats().cells, 3);
+    std::set<const LpWarmStartSlot*> slots;
+    for (const auto& [slot, priced] : calls) {
+      if (priced) {
+        EXPECT_TRUE(slots.insert(slot).second);
+      }
+    }
+    EXPECT_EQ(slots.size(), 3u);
+    EXPECT_EQ(slots.count(nullptr), 0u);
+    for (const auto& [slot, priced] : calls) EXPECT_EQ(slots.count(slot), 1u);
+    if (solve > 0) {
+      EXPECT_EQ(slots, previous);
+    }
+    previous = slots;
+  }
 }
 
 TEST(ShardedSolver, AdapterSurfacesInnerIdentity) {

@@ -171,8 +171,6 @@ int cmdSolvers(const Args&) {
       schedules += schedules.empty() ? "fractional" : "+fractional";
     std::string flags;
     if (caps.exact) flags += "exact ";
-    if (caps.usesProfileCache) flags += "cache ";
-    if (caps.usesThreadPool) flags += "pool ";
     if (caps.availabilityAware) flags += "avail ";
     if (caps.usesLpWarmStart) flags += "lp-warm ";
     if (!caps.deterministic) flags += "nondeterministic ";
