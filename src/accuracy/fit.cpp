@@ -172,6 +172,21 @@ PiecewiseLinearAccuracy makePaperAccuracy(double amin, double amax,
   return fitInterpolate(model, std::move(bp));
 }
 
+double paperAccuracyAmax(double amin, double amax, double theta, int segments,
+                         double eps) {
+  const ExponentialAccuracyModel model(amin, amax, theta);
+  const double fmax = model.flopsForCoverage(eps);
+  DSCT_CHECK(fmax > 0.0);
+  DSCT_CHECK(segments >= 1);
+  // fitInterpolate's rescale of the last breakpoint, which makeBreakpoints
+  // sets to fmax exactly.
+  const double lo = model.value(0.0);
+  const double hi = model.value(fmax);
+  DSCT_CHECK(hi > lo);
+  const double scale = (model.amax() - model.amin()) / (hi - lo);
+  return model.amin() + (hi - lo) * scale;
+}
+
 std::vector<double> isotonicNonIncreasing(const std::vector<double>& ys,
                                           const std::vector<double>& weights) {
   DSCT_CHECK(ys.size() == weights.size());

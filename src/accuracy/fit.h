@@ -47,6 +47,12 @@ PiecewiseLinearAccuracy makePaperAccuracy(double amin, double amax,
                                           double theta, int segments = 5,
                                           double eps = 0.01);
 
+/// makePaperAccuracy(amin, amax, theta, segments, eps).amax(), bit for bit,
+/// without building the curve: the fit's affine rescale of the model's value
+/// at fmax. Runs the model's argument checks and the fit's, not the curve's.
+double paperAccuracyAmax(double amin, double amax, double theta,
+                         int segments = 5, double eps = 0.01);
+
 /// Non-increasing isotonic regression (pool adjacent violators) with weights;
 /// exposed for testing.
 std::vector<double> isotonicNonIncreasing(const std::vector<double>& ys,

@@ -105,6 +105,11 @@ run_step(${CLI} serve --scenario ${SCENARIO_DIR}/volunteer_fleet.dsct
          --horizon 3)
 run_step(${CLI} serve --scenario ${SCENARIO_DIR}/million_tasks.dsct
          --horizon 2)
+# The flash crowd's spike overruns its load factor: admission control sheds.
+run_step(${CLI} serve --scenario ${SCENARIO_DIR}/flash_crowd.dsct)
+if(NOT last_out MATCHES "shed +: [1-9]")
+  message(FATAL_ERROR "flash_crowd shed nothing:\n${last_out}")
+endif()
 
 # Malformed or non-finite numeric flags exit 1 naming the flag: no hang
 # (nan), no unbounded arrival stream (inf), no silent truncation (2x, 2.9).
