@@ -76,23 +76,34 @@ int main() {
   CsvWriter csv("ablation_robustness.csv",
                 {"sweep", "param", "variant", "accuracy", "deadline_misses",
                  "energy_joules", "retries", "fallbacks", "shed"});
+  // The truth instance and the oracle's score depend only on the
+  // replication, so each is built and solved once, not once per σ.
+  ScenarioSpec spec;
+  spec.numTasks = n;
+  spec.numMachines = 3;
+  spec.rho = 0.35;
+  spec.beta = 0.4;
+  std::vector<Instance> truths;
+  for (int rep = 0; rep < reps; ++rep) {
+    truths.push_back(makeScenario(spec, 0.1, 2.0, deriveSeed(60601, rep)));
+  }
+  const std::vector<std::vector<double>> oracles = runner.pool().parallelMap(
+      truths.size(), [&](std::size_t rep) {
+        return scoreAgainstTruth(
+            truths[rep],
+            *bench::runSolverByName("approx", truths[rep], runner.context())
+                 .schedule);
+      });
   for (double sigma : sigmas) {
     // Six metrics: {accuracy, misses, energy} for oracle then noisy.
     const auto stats = runner.replicateMulti(reps, 6, [&](int rep) {
-      ScenarioSpec spec;
-      spec.numTasks = n;
-      spec.numMachines = 3;
-      spec.rho = 0.35;
-      spec.beta = 0.4;
-      const Instance truth =
-          makeScenario(spec, 0.1, 2.0, deriveSeed(60601, rep));
+      const Instance& truth = truths[static_cast<std::size_t>(rep)];
+      const std::vector<double>& oracle =
+          oracles[static_cast<std::size_t>(rep)];
       Rng rng(deriveSeed(60602, static_cast<std::uint64_t>(rep) * 31u +
                                     static_cast<std::uint64_t>(sigma * 100)));
       const Instance estimated = perturb(truth, sigma, rng);
 
-      const auto oracle = scoreAgainstTruth(
-          truth, *bench::runSolverByName("approx", truth, runner.context())
-                      .schedule);
       // Schedule with the estimate, score against the truth: machine
       // assignments and durations carry over verbatim.
       const IntegralSchedule noisySched =

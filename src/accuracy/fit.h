@@ -2,16 +2,11 @@
 //
 // The paper constructs each task's accuracy function by "performing a linear
 // regression with 5 segments over an exponential accuracy function"
-// (Section 6). Two fitters are provided:
-//   * fitInterpolate — samples the model at breakpoints (chords of a concave
-//     function are automatically concave), then rescales affinely so the fit
-//     hits amin at 0 and amax at fmax exactly;
-//   * fitLeastSquares — continuous piecewise-linear least squares with fixed
-//     breakpoints (hat-function basis), followed by a pool-adjacent-violators
-//     projection of the slopes onto the non-increasing cone (concavity).
+// (Section 6). fitInterpolate samples the model at breakpoints (chords of a
+// concave function are automatically concave), then rescales affinely so the
+// fit hits amin at 0 and amax at fmax exactly.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "accuracy/exponential.h"
@@ -33,13 +28,6 @@ std::vector<double> makeBreakpoints(double fmax, int segments,
 PiecewiseLinearAccuracy fitInterpolate(const ExponentialAccuracyModel& model,
                                        std::vector<double> breakpoints);
 
-/// Continuous piecewise-linear least squares over `samplesPerSegment` dense
-/// samples of `fn` per segment, projected to concavity. fn must be defined on
-/// [0, breakpoints.back()].
-PiecewiseLinearAccuracy fitLeastSquares(
-    const std::function<double(double)>& fn, std::vector<double> breakpoints,
-    int samplesPerSegment = 64);
-
 /// The paper's task construction: 5 geometric segments fitted on an
 /// exponential model of efficiency theta, covering all but `eps` of the
 /// accuracy range. fmax is where the fit reaches amax.
@@ -52,10 +40,5 @@ PiecewiseLinearAccuracy makePaperAccuracy(double amin, double amax,
 /// at fmax. Runs the model's argument checks and the fit's, not the curve's.
 double paperAccuracyAmax(double amin, double amax, double theta,
                          int segments = 5, double eps = 0.01);
-
-/// Non-increasing isotonic regression (pool adjacent violators) with weights;
-/// exposed for testing.
-std::vector<double> isotonicNonIncreasing(const std::vector<double>& ys,
-                                          const std::vector<double>& weights);
 
 }  // namespace dsct

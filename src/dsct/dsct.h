@@ -43,7 +43,6 @@
 #include "sim/faults.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"
-#include "sim/trace.h"
 #include "solver/mip.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
@@ -52,5 +51,4 @@
 #include "workload/arrivals.h"
 #include "workload/generator.h"
 #include "workload/gpu_catalog.h"
-#include "workload/model_catalog.h"
 #include "workload/scenario.h"

@@ -137,9 +137,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
     flops[static_cast<std::size_t>(j)] = schedule.flops(inst, j);
   }
 
-  // Deadline slacks, served from the incremental engine (or the scratch scan
-  // when options.incrementalSlack is off — bit-identical either way).
-  SlackEngine slackEngine(inst, schedule, options.incrementalSlack);
+  SlackEngine slackEngine(inst, schedule);
 
   // Per-machine energy draw, tracked incrementally when caps are active so
   // growth never pushes a machine past its battery charge.

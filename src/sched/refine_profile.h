@@ -20,11 +20,6 @@ struct RefineOptions {
   /// at least one transfer is followed by another, so this is a safety net.
   int maxRounds = 64;
   double tol = 1e-10;  ///< minimum transferred energy (J)
-  /// Serve deadline slacks from the incremental SlackEngine (memo + suffix
-  /// trees with per-machine version invalidation). False forces the O(n)
-  /// scratch scan on every query; both modes are bit-identical (the
-  /// differential harness in tests/sched_slack_cache_test.cpp enforces it).
-  bool incrementalSlack = true;
   /// Cooperative stop token, polled at round boundaries. The schedule stays
   /// valid on early exit (transfers are atomic); only optimality is lost.
   const CancelToken* cancel = nullptr;

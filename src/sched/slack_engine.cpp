@@ -1,17 +1,14 @@
 #include "sched/slack_engine.h"
 
-#include <limits>
-
 #include "util/check.h"
 
 namespace dsct {
 
 SlackEngine::SlackEngine(const Instance& inst,
-                         const FractionalSchedule& schedule, bool incremental)
-    : inst_(inst), schedule_(schedule), incremental_(incremental) {
+                         const FractionalSchedule& schedule)
+    : inst_(inst), schedule_(schedule) {
   const std::size_t n = static_cast<std::size_t>(inst.numTasks());
   const std::size_t m = static_cast<std::size_t>(inst.numMachines());
-  if (!incremental_) return;
   trees_.resize(m);
   // Version 0 marks "never built / never memoised"; the first bump to 1
   // happens in rebuildMachine, so fresh memo slots can never alias a live
@@ -21,20 +18,6 @@ SlackEngine::SlackEngine(const Instance& inst,
   memoVersion_.assign(n * m, 0);
   memo_.assign(n * m, 0.0);
   leafBuffer_.resize(n);
-}
-
-double SlackEngine::scratchSlack(int task, int machine) const {
-  // The reference scan (the pre-engine deadlineSlack): sequential prefix
-  // sums over the machine column, early exit at the first exhausted slack.
-  double prefix = 0.0;
-  for (int i = 0; i < task; ++i) prefix += schedule_.at(i, machine);
-  double slack = std::numeric_limits<double>::infinity();
-  for (int i = task; i < inst_.numTasks(); ++i) {
-    prefix += schedule_.at(i, machine);
-    slack = std::min(slack, inst_.task(i).deadline - prefix);
-    if (slack <= 0.0) return 0.0;
-  }
-  return slack;
 }
 
 void SlackEngine::rebuildMachine(int machine) {
@@ -54,8 +37,6 @@ void SlackEngine::rebuildMachine(int machine) {
 
 double SlackEngine::slack(int task, int machine) {
   ++counters_.queries;
-  if (!incremental_) return scratchSlack(task, machine);
-
   const std::size_t r = static_cast<std::size_t>(machine);
   const std::size_t idx =
       static_cast<std::size_t>(task) *
@@ -76,7 +57,6 @@ double SlackEngine::slack(int task, int machine) {
 }
 
 void SlackEngine::onTransfer(int growMachine, int shrinkMachine) {
-  if (!incremental_) return;
   ++machineVersion_[static_cast<std::size_t>(growMachine)];
   ++counters_.invalidations;
   if (shrinkMachine != growMachine) {

@@ -20,8 +20,10 @@
 // left-to-right prefix summation the scan performs, the tree is only ever
 // rebuilt (never lazily shifted with suffixAdd, whose internal add chains
 // would re-associate the sums), and a suffix *minimum* over unmodified
-// leaves is exact in floating point. The differential harness in
-// tests/sched_slack_cache_test.cpp enforces this over the shared corpus.
+// leaves is exact in floating point. The scan is the test oracle in
+// tests/refine_linear_scan_reference.h, and the differential harness in
+// tests/sched_slack_cache_test.cpp enforces the contract over the shared
+// corpus.
 #pragma once
 
 #include <cstdint>
@@ -51,17 +53,14 @@ struct SlackCounters {
 
 class SlackEngine {
  public:
-  /// `incremental` false forces the scratch column scan on every query —
-  /// the reference path the differential tests compare against.
-  SlackEngine(const Instance& inst, const FractionalSchedule& schedule,
-              bool incremental);
+  SlackEngine(const Instance& inst, const FractionalSchedule& schedule);
 
   SlackEngine(const SlackEngine&) = delete;
   SlackEngine& operator=(const SlackEngine&) = delete;
 
   /// Deadline slack of (task, machine): the largest amount by which
   /// t_{task,machine} can grow without violating any deadline at or after
-  /// `task` on `machine`. Bit-identical to the scratch scan in both modes.
+  /// `task` on `machine`. Bit-identical to the scratch scan.
   double slack(int task, int machine);
 
   /// Notify the engine that a transfer moved time between
@@ -72,12 +71,10 @@ class SlackEngine {
   const SlackCounters& counters() const { return counters_; }
 
  private:
-  double scratchSlack(int task, int machine) const;
   void rebuildMachine(int machine);
 
   const Instance& inst_;
   const FractionalSchedule& schedule_;
-  const bool incremental_;
 
   std::vector<SuffixSlackTree> trees_;          ///< one per machine
   std::vector<std::uint64_t> machineVersion_;   ///< bumped by onTransfer

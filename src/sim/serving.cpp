@@ -751,8 +751,7 @@ void ServingRun::execute(EpochPlan& plan) {
       incident(plan.epoch, IncidentKind::kBatteryExhausted, exhaustedHere);
     }
   }
-  const ExecutionResult exec =
-      executeSchedule(plan.inst, plan.sched, CommModel{}, ctx);
+  const ExecutionResult exec = executeSchedule(plan.inst, plan.sched, ctx);
   if (battery_.active()) {
     // Drain by the energy actually consumed (busy seconds × power), which a
     // cut bounds at the machine's stored charge up to rounding.

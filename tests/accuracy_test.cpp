@@ -179,17 +179,6 @@ TEST(FitInterpolate, EndpointsExactAndConcave) {
   }
 }
 
-TEST(FitLeastSquares, ApproximatesSmoothConcaveFunction) {
-  const ExponentialAccuracyModel model(0.0, 0.8, 0.4);
-  const double fmax = model.flopsForCoverage(0.02);
-  const auto fit = fitLeastSquares(
-      [&](double f) { return model.value(f); },
-      makeBreakpoints(fmax, 6, BreakpointSpacing::kGeometric));
-  for (double f = 0.0; f <= fmax; f += fmax / 23.0) {
-    EXPECT_NEAR(fit.value(f), model.value(f), 0.04);
-  }
-}
-
 TEST(MakePaperAccuracy, MatchesPaperParameters) {
   const auto acc = makePaperAccuracy(0.001, 0.82, 0.1);
   EXPECT_EQ(acc.numSegments(), 5);
@@ -240,33 +229,6 @@ TEST(MakePaperAccuracy, AmaxWithoutTheCurveRunsTheSameChecks) {
   EXPECT_THROW(paperAccuracyAmax(-0.1, 0.8, 1.0), CheckError);
   EXPECT_THROW(paperAccuracyAmax(0.001, 0.82, 1.0, 5, 1.0), CheckError);
   EXPECT_THROW(paperAccuracyAmax(0.001, 0.82, 1.0, 0), CheckError);
-}
-
-TEST(Isotonic, ProjectsToNonIncreasing) {
-  const std::vector<double> ys{3.0, 1.0, 2.0, 0.5};
-  const std::vector<double> w{1.0, 1.0, 1.0, 1.0};
-  const auto out = isotonicNonIncreasing(ys, w);
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-    EXPECT_GE(out[i], out[i + 1] - 1e-12);
-  }
-  // Pool of (1.0, 2.0) should average to 1.5.
-  EXPECT_DOUBLE_EQ(out[1], 1.5);
-  EXPECT_DOUBLE_EQ(out[2], 1.5);
-}
-
-TEST(Isotonic, AlreadySortedUnchanged) {
-  const std::vector<double> ys{3.0, 2.0, 1.0};
-  const std::vector<double> w{1.0, 2.0, 3.0};
-  EXPECT_EQ(isotonicNonIncreasing(ys, w), ys);
-}
-
-TEST(Isotonic, WeightsMatter) {
-  const std::vector<double> ys{1.0, 3.0};
-  const std::vector<double> w{3.0, 1.0};
-  const auto out = isotonicNonIncreasing(ys, w);
-  EXPECT_DOUBLE_EQ(out[0], 1.5);  // (1*3 + 3*1) / 4
-  EXPECT_DOUBLE_EQ(out[1], 1.5);
 }
 
 TEST(Levels, ForTargetsSortedAndClamped) {

@@ -172,8 +172,7 @@ TEST(EnergyGainHeadline, EmptyRowsAreSafe) {
 
 TEST(FullPipeline, GenerateSolvePersistSimulateRender) {
   // The whole user journey in one test: scenario generation, scheduling,
-  // serialisation round-trip, discrete-event execution with communication
-  // costs, and text rendering.
+  // serialisation round-trip, discrete-event execution, and text rendering.
   ScenarioSpec spec;
   spec.numTasks = 10;
   spec.numMachines = 3;
@@ -189,12 +188,7 @@ TEST(FullPipeline, GenerateSolvePersistSimulateRender) {
   const IntegralSchedule schedule =
       io::readScheduleFile(dir + "/pipe_s.txt", loaded);
 
-  sim::CommModel comm;
-  comm.taskBytes.assign(static_cast<std::size_t>(loaded.numTasks()), 1e3);
-  comm.joulesPerByte = 1e-9;
-  comm.bytesPerSecond = 1e12;  // negligible costs: behaviour unchanged
-  const sim::ExecutionResult exec =
-      sim::executeSchedule(loaded, schedule, comm);
+  const sim::ExecutionResult exec = sim::executeSchedule(loaded, schedule);
   EXPECT_NEAR(exec.totalAccuracy, res.totalAccuracy, 1e-9);
   EXPECT_EQ(exec.deadlineMisses, 0);
 

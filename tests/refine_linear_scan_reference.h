@@ -1,16 +1,20 @@
-// Test-only reference for RefineProfile (Algorithm 3): the original linear
+// Test-only references for RefineProfile (Algorithm 3): the original linear
 // donor scan, kept verbatim as the oracle for the live-donor set in
-// src/sched/refine_profile.cpp.
+// src/sched/refine_profile.cpp, and the scratch deadline-slack scan, the
+// oracle for sched/slack_engine.
 //
 // For every grower this loop probes every lower-ψ (task, segment, machine)
 // pair from the cheapest end, live or dead, so a round is O(P²) in the pair
 // count P. The production code walks only the pairs that can donate; the
 // RefineLiveDonors differential in tests/sched_refine_test.cpp requires both
 // to produce the same schedule and RefineStats bit for bit.
+// The scratch scan answers each slack query with an O(n) column scan; the
+// SlackEngine must match it bit for bit (tests/sched_slack_cache_test.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sched/refine_profile.h"
@@ -37,9 +41,43 @@ constexpr double kPsiTol = 1e-12;
 
 }  // namespace linear_scan_detail
 
-inline RefineStats refineProfileLinearScan(const Instance& inst,
-                                           FractionalSchedule& schedule,
-                                           const RefineOptions& options = {}) {
+/// Deadline slack of (task, machine) by scratch scan: sequential prefix sums
+/// over the machine column, early exit at the first exhausted slack.
+inline double scratchSlack(const Instance& inst,
+                           const FractionalSchedule& schedule, int task,
+                           int machine) {
+  double prefix = 0.0;
+  for (int i = 0; i < task; ++i) prefix += schedule.at(i, machine);
+  double slack = std::numeric_limits<double>::infinity();
+  for (int i = task; i < inst.numTasks(); ++i) {
+    prefix += schedule.at(i, machine);
+    slack = std::min(slack, inst.task(i).deadline - prefix);
+    if (slack <= 0.0) return 0.0;
+  }
+  return slack;
+}
+
+/// SlackEngine's interface over scratchSlack: every query scans, nothing is
+/// memoised, and a transfer invalidates nothing. Counts queries only.
+struct ScratchSlackScan {
+  const Instance& inst;
+  const FractionalSchedule& schedule;
+  SlackCounters counts = {};
+
+  double slack(int task, int machine) {
+    ++counts.queries;
+    return scratchSlack(inst, schedule, task, machine);
+  }
+  void onTransfer(int, int) {}
+  const SlackCounters& counters() const { return counts; }
+};
+
+/// The linear donor scan, with deadline slacks served by `Slacks`:
+/// SlackEngine (the production engine) or ScratchSlackScan (the oracle).
+template <typename Slacks = SlackEngine>
+RefineStats refineProfileLinearScan(const Instance& inst,
+                                    FractionalSchedule& schedule,
+                                    const RefineOptions& options = {}) {
   using linear_scan_detail::kPsiTol;
   using linear_scan_detail::Pair;
   RefineStats stats;
@@ -72,9 +110,7 @@ inline RefineStats refineProfileLinearScan(const Instance& inst,
     flops[static_cast<std::size_t>(j)] = schedule.flops(inst, j);
   }
 
-  // Deadline slacks, served from the incremental engine (or the scratch scan
-  // when options.incrementalSlack is off — bit-identical either way).
-  SlackEngine slackEngine(inst, schedule, options.incrementalSlack);
+  Slacks slacks(inst, schedule);
 
   // Per-machine energy draw, tracked incrementally when caps are active so
   // growth never pushes a machine past its battery charge.
@@ -100,7 +136,7 @@ inline RefineStats refineProfileLinearScan(const Instance& inst,
       // marginal gain is at least grow.slope per TFLOP (concavity).
       const double growFlops = grow.fHi - fj;
       if (growFlops <= 1e-12) continue;
-      const double slack = slackEngine.slack(grow.task, grow.machine);
+      const double slack = slacks.slack(grow.task, grow.machine);
       double eAdd = std::min(growFlops / mr.efficiency,
                              std::max(0.0, slack) * mr.power());
       if (caps != nullptr &&
@@ -138,7 +174,7 @@ inline RefineStats refineProfileLinearScan(const Instance& inst,
         flops[static_cast<std::size_t>(shrink.task)] -=
             eTransfer * ms.efficiency;
 
-        slackEngine.onTransfer(grow.machine, shrink.machine);
+        slacks.onTransfer(grow.machine, shrink.machine);
         if (caps != nullptr) {
           machineEnergy[static_cast<std::size_t>(grow.machine)] += eTransfer;
           machineEnergy[static_cast<std::size_t>(shrink.machine)] -=
@@ -153,7 +189,7 @@ inline RefineStats refineProfileLinearScan(const Instance& inst,
     }
     if (transfersThisRound == 0) break;
   }
-  stats.slack = slackEngine.counters();
+  stats.slack = slacks.counters();
   return stats;
 }
 

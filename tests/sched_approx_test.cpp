@@ -6,6 +6,7 @@
 
 #include "sched/guarantee.h"
 #include "sched/validator.h"
+#include "sim/cluster.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
 
@@ -121,6 +122,23 @@ TEST_P(ApproxLosslessOnOneMachine, SolEqualsUb) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ApproxLosslessOnOneMachine,
                          ::testing::Range(0, 10));
+
+TEST(Approx, FlatTaskAtTinyDeadlineGetsNoWorkAndNoMiss) {
+  // Task 0 is flat at its floor and due in 1e-9 s: APPROX starves it, and
+  // the executor scores it at its floor without counting a miss.
+  const Instance inst(
+      {Task{1e-9, PiecewiseLinearAccuracy::linear(0.1, 0.1, 2.0), "flat"},
+       Task{2.0, testing::twoSegment(0.0, 0.9, 3.0), "t1"}},
+      tinyInstance().machines(), 1e9);
+  const IntegralSchedule s = solveApprox(inst).schedule;
+  EXPECT_EQ(s.flops(inst, 0), 0.0);
+  EXPECT_GT(s.flops(inst, 1), 0.0);
+  const sim::ExecutionResult exec = sim::executeSchedule(inst, s);
+  EXPECT_EQ(exec.executions[0].flops, 0.0);
+  EXPECT_EQ(exec.executions[0].accuracy, 0.1);
+  EXPECT_EQ(exec.deadlineMisses, 0);
+  EXPECT_GT(exec.executions[1].flops, 0.0);
+}
 
 TEST(Approx, GenerousEverything) {
   const Instance inst = randomInstance(5, 6, 2, 5.0, 1.0);

@@ -1,22 +1,15 @@
-// Renewable power traces and the communication-energy extension
-// (the paper's two future-work items, Section 7).
+// Renewable power traces (the paper's future-work item 1, Section 7).
 #include <gtest/gtest.h>
 
-#include "sched/approx.h"
-#include "sim/cluster.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"
 #include "tests/serving_support.h"
-#include "tests/test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/gpu_catalog.h"
 
 namespace dsct {
 namespace {
-
-using testing::randomInstance;
-using testing::tinyInstance;
 
 // ------------------------------------------------------------- renewable --
 
@@ -144,143 +137,6 @@ TEST(RenewableServing, AsyncMatchesSync) {
     EXPECT_EQ(async.asyncEpochs, async.epochs);
     EXPECT_GT(sync.served, 0);
   }
-}
-
-// ------------------------------------------------------- communication ---
-
-TEST(CommModel, TransferMath) {
-  sim::CommModel comm;
-  comm.taskBytes = {1e6, 0.0};
-  comm.joulesPerByte = 2e-6;
-  comm.bytesPerSecond = 1e7;
-  EXPECT_DOUBLE_EQ(comm.transferSeconds(0), 0.1);
-  EXPECT_DOUBLE_EQ(comm.transferJoules(0), 2.0);
-  EXPECT_DOUBLE_EQ(comm.transferSeconds(1), 0.0);
-  const sim::CommModel empty;
-  EXPECT_DOUBLE_EQ(empty.transferSeconds(5), 0.0);
-  EXPECT_DOUBLE_EQ(empty.transferJoules(5), 0.0);
-}
-
-TEST(CommExecution, ZeroBytesMatchesPlainExecution) {
-  const Instance inst = randomInstance(41, 8, 2);
-  const IntegralSchedule s = solveApprox(inst).schedule;
-  const auto plain = sim::executeSchedule(inst, s);
-  sim::CommModel comm;
-  comm.taskBytes.assign(static_cast<std::size_t>(inst.numTasks()), 0.0);
-  const auto withComm = sim::executeSchedule(inst, s, comm);
-  EXPECT_DOUBLE_EQ(plain.totalEnergy, withComm.totalEnergy);
-  EXPECT_DOUBLE_EQ(plain.totalAccuracy, withComm.totalAccuracy);
-  EXPECT_EQ(plain.deadlineMisses, withComm.deadlineMisses);
-}
-
-TEST(CommExecution, TransfersShiftStartsAndAddEnergy) {
-  const Instance inst = tinyInstance(1e9);
-  const IntegralSchedule s = IntegralSchedule::build(inst, {0, 0}, {0.3, 0.4});
-  sim::CommModel comm;
-  comm.taskBytes = {1e6, 2e6};
-  comm.joulesPerByte = 1e-6;   // 1 J and 2 J
-  comm.bytesPerSecond = 1e7;   // 0.1 s and 0.2 s transfers
-  const auto exec = sim::executeSchedule(inst, s, comm);
-  // Task 0: transfer [0, 0.1), runs [0.1, 0.4).
-  EXPECT_NEAR(exec.executions[0].start, 0.1, 1e-12);
-  EXPECT_NEAR(exec.executions[0].finish, 0.4, 1e-12);
-  // Task 1: transfer [0.4, 0.6), runs [0.6, 1.0).
-  EXPECT_NEAR(exec.executions[1].start, 0.6, 1e-12);
-  EXPECT_NEAR(exec.executions[1].finish, 1.0, 1e-12);
-  // Energy = compute (0.7 s * 40 W) + transfers (3 J).
-  EXPECT_NEAR(exec.totalEnergy, 0.7 * 40.0 + 3.0, 1e-9);
-}
-
-TEST(CommExecution, TransfersCanCauseDeadlineMisses) {
-  const Instance inst = tinyInstance(1e9);
-  // Feasible without comm: task 0 runs [0, 0.95] against d = 1.0.
-  const IntegralSchedule s =
-      IntegralSchedule::build(inst, {0, -1}, {0.95, 0.0});
-  EXPECT_EQ(sim::executeSchedule(inst, s).deadlineMisses, 0);
-  sim::CommModel comm;
-  comm.taskBytes = {1e6, 0.0};
-  comm.bytesPerSecond = 1e7;  // 0.1 s transfer → finish 1.05 > 1.0
-  EXPECT_EQ(sim::executeSchedule(inst, s, comm).deadlineMisses, 1);
-}
-
-TEST(CommAwareInstance, ShrinksBudgetAndDeadlines) {
-  const Instance inst = tinyInstance(100.0);
-  sim::CommModel comm;
-  comm.taskBytes = {1e6, 1e6};
-  comm.joulesPerByte = 10e-6;  // 10 J each
-  comm.bytesPerSecond = 1e7;   // 0.1 s each
-  const Instance aware = sim::commAwareInstance(inst, comm);
-  EXPECT_DOUBLE_EQ(aware.energyBudget(), 80.0);
-  EXPECT_DOUBLE_EQ(aware.task(0).deadline, 0.9);
-  EXPECT_DOUBLE_EQ(aware.task(1).deadline, 1.9);
-}
-
-TEST(CommAwareInstance, SchedulesStayFeasibleUnderComm) {
-  // Property: a schedule computed on the comm-aware instance, executed with
-  // communication, never misses deadlines or exceeds the original budget.
-  for (int trial = 0; trial < 8; ++trial) {
-    const Instance inst =
-        randomInstance(deriveSeed(4242, trial), 10, 3, 0.3, 0.5);
-    Rng rng(deriveSeed(777, trial));
-    sim::CommModel comm;
-    comm.joulesPerByte = 5e-8;
-    comm.bytesPerSecond = 1e9;
-    for (int j = 0; j < inst.numTasks(); ++j) {
-      comm.taskBytes.push_back(rng.uniform(0.0, 5e7));
-    }
-    const Instance aware = sim::commAwareInstance(inst, comm);
-    const IntegralSchedule s = solveApprox(aware).schedule;
-    const auto exec = sim::executeSchedule(inst, s, comm);
-    EXPECT_LE(exec.totalEnergy, inst.energyBudget() + 1e-6)
-        << "trial " << trial;
-    // Transfers are serialised, so a task can start later than the analytic
-    // model assumed only by the sum of *earlier* transfers — which the
-    // conservative transform does not cover per machine. Misses are still
-    // impossible here because every deadline was shrunk by the task's own
-    // transfer and queueing is absorbed by the EDF stacking slack...
-    // assert what the transform guarantees: the budget.
-    EXPECT_GE(exec.totalAccuracy, 0.0);
-  }
-}
-
-TEST(CommAwareInstance, TransferBeyondDeadlineClampsAndStarvesTask) {
-  // A task whose input transfer alone exceeds its deadline must keep a tiny
-  // positive deadline (Instance rejects non-positive ones) and receive zero
-  // work end-to-end: the scheduler starves it and the simulator agrees.
-  const Instance inst = tinyInstance(1e9);
-  sim::CommModel comm;
-  // Task 0 (d = 1.0 s): 2 s transfer — hopeless. Task 1 (d = 2.0 s): free.
-  comm.taskBytes = {2e7, 0.0};
-  comm.joulesPerByte = 1e-7;
-  comm.bytesPerSecond = 1e7;
-  const Instance aware = sim::commAwareInstance(inst, comm);
-  EXPECT_GT(aware.task(0).deadline, 0.0);
-  EXPECT_LE(aware.task(0).deadline, 1e-9);
-  EXPECT_DOUBLE_EQ(aware.task(1).deadline, 2.0);
-  const IntegralSchedule s = solveApprox(aware).schedule;
-  // Schedule side: the clamped task gets no FLOPs.
-  EXPECT_DOUBLE_EQ(s.flops(aware, 0), 0.0);
-  EXPECT_GT(s.flops(aware, 1), 0.0);
-  // Simulator side agrees end-to-end: executed with comm accounting, the
-  // starved task contributes zero work and floor accuracy, and nothing
-  // violates a deadline.
-  const auto exec = sim::executeSchedule(inst, s, comm);
-  EXPECT_DOUBLE_EQ(exec.executions[0].flops, 0.0);
-  EXPECT_DOUBLE_EQ(exec.executions[0].accuracy,
-                   inst.task(0).accuracy.value(0.0));
-  EXPECT_EQ(exec.deadlineMisses, 0);
-  EXPECT_GT(exec.executions[1].flops, 0.0);
-}
-
-TEST(CommAwareInstance, BudgetNeverNegative) {
-  const Instance inst = tinyInstance(1.0);
-  sim::CommModel comm;
-  comm.taskBytes = {1e9, 1e9};
-  comm.joulesPerByte = 1.0;  // absurdly expensive network
-  comm.bytesPerSecond = 1e9;
-  const Instance aware = sim::commAwareInstance(inst, comm);
-  EXPECT_DOUBLE_EQ(aware.energyBudget(), 0.0);
-  EXPECT_GT(aware.task(0).deadline, 0.0);
 }
 
 }  // namespace

@@ -76,9 +76,8 @@ inline Instance corpusInstance(std::uint64_t seed, int caseIdx) {
       for (int j = 0; j < n; ++j) {
         deadline += rng.uniform(0.05, 0.6);
         if (j % 3 == 0) {
-          // A comm-flattened hopeless task: constant accuracy, zero slope
-          // end to end (the shape commAwareInstance emits when the transfer
-          // alone exceeds the deadline).
+          // A hopeless task: constant accuracy, zero slope end to end, so
+          // no FLOP it could receive buys any accuracy.
           const double level = rng.uniform(0.0, 0.4);
           tasks.push_back(Task{deadline,
                                PiecewiseLinearAccuracy::linear(

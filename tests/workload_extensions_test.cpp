@@ -1,4 +1,4 @@
-// Model catalog and arrival processes.
+// Arrival processes.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,47 +7,9 @@
 #include "util/check.h"
 #include "workload/arrivals.h"
 #include "workload/gpu_catalog.h"
-#include "workload/model_catalog.h"
 
 namespace dsct {
 namespace {
-
-TEST(ModelCatalog, EntriesWellFormedAndOrdered) {
-  const auto& catalog = modelCatalog();
-  ASSERT_GE(catalog.size(), 4u);
-  double prevTflop = 0.0;
-  for (const ModelSpec& spec : catalog) {
-    EXPECT_GT(spec.fullTflop, prevTflop);  // ordered by compute
-    prevTflop = spec.fullTflop;
-    EXPECT_GT(spec.amax, spec.amin);
-    EXPECT_LE(spec.amax, 1.0);
-    EXPECT_GT(spec.theta(), 0.0);
-  }
-}
-
-TEST(ModelCatalog, PaperModelPresent) {
-  const ModelSpec& ofa = modelByName("ofa-resnet");
-  EXPECT_NEAR(ofa.amax, 0.82, 1e-12);
-  EXPECT_NEAR(ofa.amin, 1e-3, 1e-12);
-}
-
-TEST(ModelCatalog, UnknownModelThrows) {
-  EXPECT_THROW(modelByName("gpt-17"), CheckError);
-}
-
-TEST(ModelCatalog, ToTaskHitsSpecifiedShape) {
-  const ModelSpec& spec = modelByName("resnet-50");
-  const Task task = spec.toTask(2.5, "req");
-  EXPECT_DOUBLE_EQ(task.deadline, 2.5);
-  EXPECT_EQ(task.name, "req");
-  EXPECT_NEAR(task.amax(), spec.amax, 1e-9);
-  // The accuracy curve tops out at the model's full compute cost.
-  EXPECT_NEAR(task.fmax(), spec.fullTflop, 1e-9);
-  // Bigger models yield steeper-per-TFLOP... no: *shallower* θ (same
-  // accuracy range spread over more compute).
-  EXPECT_LT(modelByName("vit-base").theta(),
-            modelByName("mobilenet-v3").theta());
-}
 
 TEST(Arrivals, PoissonRateIsConstant) {
   const ArrivalProcess p = ArrivalProcess::poisson(5.0);

@@ -111,24 +111,32 @@ if(NOT last_out MATCHES "shed +: [1-9]")
   message(FATAL_ERROR "flash_crowd shed nothing:\n${last_out}")
 endif()
 
-# Malformed or non-finite numeric flags exit 1 naming the flag: no hang
-# (nan), no unbounded arrival stream (inf), no silent truncation (2x, 2.9).
+# Rejected flags exit 1 naming the flag and run nothing: no hang (nan), no
+# unbounded arrival stream (inf), no silent truncation (2x, 2.9), and no
+# flag the subcommand does not read (a misspelling must not serve unshed).
 # Each run is time-boxed so a regression fails instead of hanging ctest.
-function(expect_flag_rejected flag)
-  execute_process(COMMAND ${CLI} serve ${ARGN} TIMEOUT 10
+function(expect_flag_rejected message)
+  execute_process(COMMAND ${CLI} ${ARGN} TIMEOUT 10
                   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT code EQUAL 1 OR NOT err MATCHES "${flag}")
+  if(NOT code EQUAL 1 OR NOT err MATCHES "${message}" OR NOT out STREQUAL "")
     list(JOIN ARGN " " args)
-    message(FATAL_ERROR "serve ${args} should exit 1 naming ${flag}, got "
-                        "(${code}):\n${out}\n${err}")
+    message(FATAL_ERROR "${args} should exit 1 with '${message}' and print "
+                        "nothing to stdout, got (${code}):\n${out}\n${err}")
   endif()
 endfunction()
-expect_flag_rejected(--horizon --horizon nan)
-expect_flag_rejected(--horizon --horizon inf)
-expect_flag_rejected(--horizon --scenario ${SCENARIO_DIR}/million_tasks.dsct
+expect_flag_rejected(--horizon serve --horizon nan)
+expect_flag_rejected(--horizon serve --horizon inf)
+expect_flag_rejected(--horizon serve
+                     --scenario ${SCENARIO_DIR}/million_tasks.dsct
                      --horizon inf)
-expect_flag_rejected(--horizon --horizon 2x)
-expect_flag_rejected(--shards --shards 2.9)
+expect_flag_rejected(--horizon serve --horizon 2x)
+expect_flag_rejected(--shards serve --shards 2.9)
+expect_flag_rejected("unknown flag --load-facter for `serve`"
+                     serve --gpus T4 --horizon 1 --load-facter 3)
+expect_flag_rejected("unknown flag --trace for `simulate`"
+                     simulate ${inst} ${sched} --trace)
+expect_flag_rejected("unknown flag --nonsense for `solvers`"
+                     solvers --nonsense)
 
 # Conflicting flags and malformed files fail loudly.
 execute_process(COMMAND ${CLI} serve --scenario ${SCENARIO_DIR}/diurnal.dsct

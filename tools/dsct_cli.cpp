@@ -4,10 +4,10 @@
 //   dsct_cli generate --tasks N --machines M [--rho R] [--beta B]
 //            [--theta-min T] [--theta-max T] [--seed S] --out FILE
 //   dsct_cli solve INSTANCE [--algo NAME] [--time-limit SEC]
-//            [--out SCHEDULE]
+//            [--out SCHEDULE] [--gantt]
 //   dsct_cli info INSTANCE [--tasks]
 //   dsct_cli validate INSTANCE SCHEDULE
-//   dsct_cli simulate INSTANCE SCHEDULE [--trace]
+//   dsct_cli simulate INSTANCE SCHEDULE
 //   dsct_cli scenarios [DIR]
 //   dsct_cli serve [--scenario FILE] [--policy NAME]
 //            [--fallback NAME,NAME,...]
@@ -20,6 +20,7 @@
 //            [--avail] [--avail-seed N] [--depart-mtbf S] [--depart-mean S]
 //            [--battery J] [--battery-init F] [--recharge W]
 //            [--no-battery-cap] [--incidents-csv FILE]
+//            [--no-lp-warm] [--shards K] [--shard-seed N]
 //
 // `--algo` and `--policy` accept any name or alias from the solver registry
 // (run `dsct_cli solvers` for the list); `--policy` and `--fallback` are
@@ -33,7 +34,8 @@
 // `scenarios` lists every *.dsct file in DIR (default: the repo zoo).
 //
 // Exit code 0 on success (and, for `validate`, a feasible schedule);
-// 1 on usage errors, 2 on infeasibility.
+// 1 on usage errors, 2 on infeasibility. A flag the subcommand does not
+// read is a usage error.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -126,7 +128,7 @@ int usage() {
       "           [--out SCHEDULE] [--gantt]\n"
       "  dsct_cli info INSTANCE [--tasks]\n"
       "  dsct_cli validate INSTANCE SCHEDULE\n"
-      "  dsct_cli simulate INSTANCE SCHEDULE [--trace]\n"
+      "  dsct_cli simulate INSTANCE SCHEDULE\n"
       "  dsct_cli scenarios [DIR]\n"
       "  dsct_cli serve [--scenario FILE] [--policy NAME]\n"
       "           [--fallback NAME,NAME,...]\n"
@@ -314,7 +316,6 @@ int cmdSimulate(const Args& args) {
             << "energy         : " << exec.totalEnergy << " J\n"
             << "makespan       : " << exec.makespan << " s\n"
             << "deadline misses: " << exec.deadlineMisses << '\n';
-  if (args.has("trace")) std::cout << exec.trace.toString();
   return exec.deadlineMisses == 0 ? 0 : 2;
 }
 
@@ -569,24 +570,53 @@ int cmdServe(const Args& args) {
   return 0;
 }
 
+/// A subcommand and every flag it reads.
+struct Command {
+  std::string name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const Command kCommands[] = {
+    {"solvers", cmdSolvers, {}},
+    {"generate", cmdGenerate,
+     {"tasks", "machines", "rho", "beta", "theta-min", "theta-max", "seed",
+      "out"}},
+    {"solve", cmdSolve, {"algo", "time-limit", "out", "gantt"}},
+    {"info", cmdInfo, {"tasks"}},
+    {"validate", cmdValidate, {}},
+    {"simulate", cmdSimulate, {}},
+    {"scenarios", cmdScenarios, {}},
+    {"serve", cmdServe,
+     {"scenario", "policy", "fallback", "gpus", "rate", "horizon", "epoch",
+      "budget", "seed", "backlog", "load-factor", "faults", "fault-seed",
+      "mtbf", "mttr", "slow-mtbf", "slow-mean", "slow-factor", "shock-prob",
+      "shock-factor", "max-retries", "epoch-time-limit", "async", "incidents",
+      "avail", "avail-seed", "depart-mtbf", "depart-mean", "battery",
+      "battery-init", "recharge", "no-battery-cap", "incidents-csv",
+      "no-lp-warm", "shards", "shard-seed"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parseArgs(argc, argv);
-  try {
-    if (command == "solvers") return cmdSolvers(args);
-    if (command == "generate") return cmdGenerate(args);
-    if (command == "info") return cmdInfo(args);
-    if (command == "solve") return cmdSolve(args);
-    if (command == "validate") return cmdValidate(args);
-    if (command == "simulate") return cmdSimulate(args);
-    if (command == "scenarios") return cmdScenarios(args);
-    if (command == "serve") return cmdServe(args);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
+  for (const Command& c : kCommands) {
+    if (c.name != command) continue;
+    for (const auto& [flag, value] : args.options) {
+      if (std::find(c.flags.begin(), c.flags.end(), flag) == c.flags.end()) {
+        std::cerr << "unknown flag --" << flag << " for `" << c.name << "`\n";
+        return usage();
+      }
+    }
+    try {
+      return c.run(args);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << '\n';
+      return 1;
+    }
   }
   return usage();
 }
