@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the core algorithmic kernels:
-// Algorithm 1, one profile evaluation, ComputeNaiveSolution, RefineProfile,
-// full FR-OPT, APPROX rounding, and the simplex on the fractional LP.
+// Algorithm 1, one profile evaluation, ComputeNaiveSolution, RefineProfile's
+// plan build and walk, full FR-OPT, APPROX rounding, and the simplex on the
+// fractional LP.
 #include <benchmark/benchmark.h>
 
 #include "mipmodel/dsct_lp.h"
@@ -9,6 +10,7 @@
 #include "sched/fr_opt.h"
 #include "sched/naive_solution.h"
 #include "sched/profile_evaluator.h"
+#include "sched/refine_profile.h"
 #include "sched/single_machine.h"
 #include "solver/simplex.h"
 #include "util/thread_pool.h"
@@ -126,18 +128,37 @@ void BM_Approx(benchmark::State& state) {
 }
 BENCHMARK(BM_Approx)->Range(16, 256);
 
+// Refine's cost in two parts: building the ψ-ordered pair plan, once per
+// FR-OPT solve, from the evaluator's sorted segment list; and one walk of a
+// prebuilt plan, once per refine call. Args are (tasks, machines).
+void BM_RefinePlan(benchmark::State& state) {
+  const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)),
+                                          static_cast<int>(state.range(1)));
+  const ProfileEvaluator evaluator(inst);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        buildRefinePlan(inst, evaluator.sortedSegments()));
+  }
+}
+BENCHMARK(BM_RefinePlan)->Args({16, 5})->Args({256, 5})->Args({1000, 16});
+
 void BM_RefineProfileOnly(benchmark::State& state) {
-  const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)), 5);
+  const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)),
+                                          static_cast<int>(state.range(1)));
   const NaiveSolution naive = computeNaiveSolution(inst);
+  const RefinePlan plan = buildRefinePlan(inst);
   for (auto _ : state) {
     state.PauseTiming();
     FractionalSchedule schedule = naive.schedule;  // fresh copy
     state.ResumeTiming();
-    RefineStats stats = refineProfile(inst, schedule);
+    RefineStats stats = refineProfile(inst, plan, schedule);
     benchmark::DoNotOptimize(stats);
   }
 }
-BENCHMARK(BM_RefineProfileOnly)->Range(16, 256);
+BENCHMARK(BM_RefineProfileOnly)
+    ->Args({16, 5})
+    ->Args({256, 5})
+    ->Args({1000, 16});
 
 void BM_FractionalLpSimplex(benchmark::State& state) {
   const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)), 5);

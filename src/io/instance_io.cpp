@@ -1,7 +1,9 @@
 #include "io/instance_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,16 +55,21 @@ double parseDouble(const std::string& token, int line) {
   DSCT_CHECK_MSG(consumed == token.size(),
                  "line " << line << ": trailing characters in '" << token
                          << "'");
+  DSCT_CHECK_MSG(std::isfinite(value),
+                 "line " << line << ": expected finite number, got '" << token
+                         << "'");
   return value;
 }
 
 int parseInt(const std::string& token, int line) {
   const double value = parseDouble(token, line);
-  const int asInt = static_cast<int>(value);
-  DSCT_CHECK_MSG(static_cast<double>(asInt) == value,
+  // Range first: casting a double outside int's range is undefined.
+  DSCT_CHECK_MSG(value >= std::numeric_limits<int>::min() &&
+                     value <= std::numeric_limits<int>::max() &&
+                     value == std::trunc(value),
                  "line " << line << ": expected integer, got '" << token
                          << "'");
-  return asInt;
+  return static_cast<int>(value);
 }
 
 /// Names are written as single tokens; spaces are escaped as '\s'.

@@ -248,6 +248,15 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   if (refineOptions.machineEnergyCaps == nullptr) {
     refineOptions.machineEnergyCaps = options.machineEnergyCaps;
   }
+  // Refine's ψ order depends on the instance alone: every refine call of
+  // this solve walks one plan (DESIGN.md §19).
+  const Stopwatch planWatch;
+  const RefinePlan plan = buildRefinePlan(inst, evaluator.sortedSegments());
+  result.counters.refineSeconds += planWatch.elapsedSeconds();
+  // True while the schedule is the one a transfer-free, uncut refine call
+  // returned. Refine is a function of (instance, schedule, options), so the
+  // next call would move nothing either and is skipped (DESIGN.md §19).
+  bool settled = false;
 
   // Alternate three fixed-point steps until none improves:
   //  * expandProfile — spend leftover budget on additional parallel
@@ -274,6 +283,7 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
     if (accuracy <= currentAccuracy + kImprovementTol) return false;
     result.schedule = std::move(candidate);
     currentAccuracy = accuracy;
+    settled = false;
     return true;
   };
 
@@ -452,11 +462,16 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
       result.counters.expandSeconds += watch.elapsedSeconds();
     }
 
+    // A skipped call counts as the transfer-free call it would repeat; its
+    // maybeAdoptProfile would re-reject the loads it already rejected.
     RefineStats stats;
-    {
+    if (!settled) {
       const Stopwatch watch;
-      stats = refineProfile(inst, result.schedule, refineOptions);
+      stats = refineProfile(inst, plan, result.schedule, refineOptions);
       result.refineStats.add(stats);
+      // A call cut short saw the token stop, and a token stays stopped.
+      settled = stats.transfers == 0 && refineOptions.maxRounds > 0 &&
+                !stopRequested(refineOptions.cancel);
       // refineProfile mutates the schedule in place; refresh the incumbent
       // accuracy before re-solving for the refined loads.
       currentAccuracy = result.schedule.totalAccuracy(inst);

@@ -28,12 +28,13 @@ struct FrOptCounters {
   int pairMoves = 0;               ///< adopted pairwise profile transfers
   int directionSteps = 0;          ///< adopted direction-search steps
   double expandSeconds = 0.0;      ///< wall time in expansion candidates
-  double refineSeconds = 0.0;      ///< wall time in RefineProfile
+  double refineSeconds = 0.0;      ///< wall time in RefineProfile + its plan
   double pairSeconds = 0.0;        ///< wall time in the pairwise search
   double directionSeconds = 0.0;   ///< wall time in the direction search
   double totalSeconds = 0.0;       ///< whole solve
 
-  // RefineProfile's incremental slack engine (summed over refine calls).
+  // RefineProfile's incremental slack engine, summed over the refine calls
+  // made (a call on a settled schedule is skipped, DESIGN.md §19).
   long long slackQueries = 0;
   long long slackHits = 0;          ///< served from the (task, machine) memo
   long long slackRebuilds = 0;      ///< per-machine column recomputations

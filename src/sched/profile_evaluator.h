@@ -72,6 +72,11 @@ class ProfileEvaluator {
   /// Snapshot of the counters accumulated so far.
   EvaluatorCounters counters() const;
 
+  /// The instance's segment jobs in sortSegmentJobs order, built once.
+  std::span<const SegmentJob> sortedSegments() const {
+    return sortedSegments_;
+  }
+
  private:
   using CacheKey = std::vector<std::int64_t>;
   struct CacheKeyHash {

@@ -13,18 +13,23 @@ namespace dsct {
 
 namespace {
 
-/// One (accuracy segment, machine) pair, the unit of the refinement search.
-struct Pair {
-  int task;
-  int segment;
-  int machine;
-  double slope;  ///< segment slope (accuracy per TFLOP)
-  double psi;    ///< accuracy-per-Joule ψ = slope · E_r
-  double fLo;
-  double fHi;
+constexpr double kPsiTol = 1e-12;
+
+/// Sort key of one pair while the plan is built: ψ, then the creation index
+/// as (global segment, machine).
+struct PlanKey {
+  double psi;
+  std::uint32_t segment;  ///< firstSeg[j] + k
+  std::uint32_t machine;
 };
 
-constexpr double kPsiTol = 1e-12;
+/// The walk order: non-increasing ψ, then increasing creation index, which
+/// orders pairs by (task, segment, machine).
+bool walksBefore(const PlanKey& a, const PlanKey& b) {
+  if (a.psi != b.psi) return a.psi > b.psi;
+  if (a.segment != b.segment) return a.segment < b.segment;
+  return a.machine < b.machine;
+}
 
 /// Ordered set over the positions [0, size]: a 64-ary bitset hierarchy in
 /// which bit i of level l + 1 marks "word i of level l is non-zero". Updates
@@ -87,49 +92,110 @@ class LiveSet {
 
 }  // namespace
 
+RefinePlan buildRefinePlan(const Instance& inst,
+                           std::span<const SegmentJob> sortedSegments) {
+  RefinePlan plan;
+  const int n = inst.numTasks();
+  const auto m = static_cast<std::size_t>(inst.numMachines());
+  plan.firstSeg.assign(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<RefinePair> segments;  // per global segment; machine unset
+  for (int j = 0; j < n; ++j) {
+    const PiecewiseLinearAccuracy& acc = inst.task(j).accuracy;
+    plan.firstSeg[static_cast<std::size_t>(j) + 1] =
+        plan.firstSeg[static_cast<std::size_t>(j)] +
+        static_cast<std::size_t>(acc.numSegments());
+    for (int k = 0; k < acc.numSegments(); ++k) {
+      const AccuracySegment seg = acc.segment(k);
+      segments.push_back({j, k, -1, seg.slope, 0.0, seg.fLo, seg.fHi});
+    }
+  }
+  const std::size_t numSegments = segments.size();
+  DSCT_CHECK_MSG(sortedSegments.size() == numSegments,
+                 "refine plan needs the instance's " << numSegments
+                                                     << " segment jobs, got "
+                                                     << sortedSegments.size());
+  const std::size_t numPairs = numSegments * m;
+  DSCT_CHECK_MSG(numPairs < std::numeric_limits<std::uint32_t>::max(),
+                 "refine pair count " << numPairs << " exceeds 32 bits");
+
+  // One stream per machine: the segments in slope order, scaled by E_r.
+  // Multiplying by a positive constant is monotone in IEEE arithmetic, so
+  // each stream is already in ψ order, except inside a run of distinct
+  // slopes that round to one ψ; those runs are re-sorted by creation index.
+  std::vector<PlanKey> keys(numPairs);
+  for (std::size_t r = 0; r < m; ++r) {
+    const double e = inst.machine(static_cast<int>(r)).efficiency;
+    PlanKey* const stream = keys.data() + r * numSegments;
+    for (std::size_t i = 0; i < numSegments; ++i) {
+      const SegmentJob& job = sortedSegments[i];
+      const std::size_t g =
+          plan.firstSeg[static_cast<std::size_t>(job.task)] +
+          static_cast<std::size_t>(job.position);
+      stream[i] = {segments[g].slope * e, static_cast<std::uint32_t>(g),
+                   static_cast<std::uint32_t>(r)};
+    }
+    for (std::size_t lo = 0; lo < numSegments;) {
+      std::size_t hi = lo + 1;
+      while (hi < numSegments && stream[hi].psi == stream[lo].psi) ++hi;
+      if (!std::is_sorted(stream + lo, stream + hi, walksBefore)) {
+        std::sort(stream + lo, stream + hi, walksBefore);
+      }
+      lo = hi;
+    }
+    DSCT_DCHECK(std::is_sorted(stream, stream + numSegments, walksBefore));
+  }
+
+  // Merge the streams pairwise: ⌈log₂ m⌉ passes over 16-byte keys.
+  std::vector<PlanKey> merged(numPairs);
+  for (std::size_t width = numSegments; width < numPairs; width *= 2) {
+    for (std::size_t lo = 0; lo < numPairs; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, numPairs);
+      const std::size_t hi = std::min(lo + 2 * width, numPairs);
+      std::merge(keys.data() + lo, keys.data() + mid, keys.data() + mid,
+                 keys.data() + hi, merged.data() + lo, walksBefore);
+    }
+    keys.swap(merged);
+  }
+
+  plan.pairs.resize(numPairs);
+  plan.position.resize(numPairs);
+  for (std::size_t q = 0; q < numPairs; ++q) {
+    const PlanKey& key = keys[q];
+    RefinePair& pr = plan.pairs[q];
+    pr = segments[key.segment];
+    pr.machine = static_cast<int>(key.machine);
+    pr.psi = key.psi;
+    plan.position[static_cast<std::size_t>(key.segment) * m + key.machine] =
+        static_cast<std::uint32_t>(q);
+  }
+  return plan;
+}
+
+RefinePlan buildRefinePlan(const Instance& inst) {
+  std::vector<SegmentJob> segments = makeSegmentJobs(inst.tasks());
+  sortSegmentJobs(segments);
+  return buildRefinePlan(inst, segments);
+}
+
 RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
+                          const RefineOptions& options) {
+  return refineProfile(inst, buildRefinePlan(inst), schedule, options);
+}
+
+RefineStats refineProfile(const Instance& inst, const RefinePlan& plan,
+                          FractionalSchedule& schedule,
                           const RefineOptions& options) {
   RefineStats stats;
   const int n = inst.numTasks();
   const int m = inst.numMachines();
   if (n == 0) return stats;
-
-  // Static pair list sorted by non-increasing accuracy-per-Joule. firstSeg[j]
-  // numbers task j's segments globally, so (firstSeg[j] + k) · m + r is the
-  // pair's creation index.
-  std::vector<Pair> pairs;
-  std::vector<std::size_t> firstSeg(static_cast<std::size_t>(n) + 1, 0);
-  for (int j = 0; j < n; ++j) {
-    const PiecewiseLinearAccuracy& acc = inst.task(j).accuracy;
-    firstSeg[static_cast<std::size_t>(j) + 1] =
-        firstSeg[static_cast<std::size_t>(j)] +
-        static_cast<std::size_t>(acc.numSegments());
-    for (int k = 0; k < acc.numSegments(); ++k) {
-      const AccuracySegment seg = acc.segment(k);
-      for (int r = 0; r < m; ++r) {
-        const double e = inst.machine(r).efficiency;
-        pairs.push_back({j, k, r, seg.slope, seg.slope * e, seg.fLo, seg.fHi});
-      }
-    }
-  }
-  DSCT_CHECK_MSG(pairs.size() < std::numeric_limits<std::uint32_t>::max(),
-                 "refine pair count " << pairs.size() << " exceeds 32 bits");
-  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
-    if (a.psi != b.psi) return a.psi > b.psi;
-    if (a.task != b.task) return a.task < b.task;
-    if (a.segment != b.segment) return a.segment < b.segment;
-    return a.machine < b.machine;
-  });
+  const std::vector<RefinePair>& pairs = plan.pairs;
+  const std::vector<std::size_t>& firstSeg = plan.firstSeg;
+  const std::vector<std::uint32_t>& position = plan.position;
+  DSCT_DCHECK(firstSeg.size() == static_cast<std::size_t>(n) + 1);
+  DSCT_DCHECK(position.size() ==
+              firstSeg.back() * static_cast<std::size_t>(m));
   const auto numPairs = static_cast<std::uint32_t>(pairs.size());
-  // Creation index → sorted position.
-  std::vector<std::uint32_t> position(pairs.size());
-  for (std::uint32_t q = 0; q < numPairs; ++q) {
-    const Pair& pr = pairs[q];
-    position[(firstSeg[static_cast<std::size_t>(pr.task)] +
-              static_cast<std::size_t>(pr.segment)) *
-                 static_cast<std::size_t>(m) +
-             static_cast<std::size_t>(pr.machine)] = q;
-  }
 
   // Current FLOP allocation per task, updated incrementally.
   std::vector<double> flops(static_cast<std::size_t>(n));
@@ -152,7 +218,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
 
   // Joules a pair could give up right now, or −∞ when it holds no time on
   // its machine or no FLOPs inside its segment.
-  const auto donorEnergy = [&](const Pair& pr) {
+  const auto donorEnergy = [&](const RefinePair& pr) {
     constexpr double kNone = -std::numeric_limits<double>::infinity();
     const double t = schedule.at(pr.task, pr.machine);
     if (t <= 1e-12) return kNone;
@@ -188,7 +254,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
     if (stopRequested(options.cancel)) break;
     long transfersThisRound = 0;
     for (std::uint32_t p = 0; p < numPairs; ++p) {
-      const Pair& grow = pairs[p];
+      const RefinePair& grow = pairs[p];
       if (grow.slope <= 0.0) continue;  // flat segments can only donate
       const Machine& mr = inst.machine(grow.machine);
       const double fj = flops[static_cast<std::size_t>(grow.task)];
@@ -216,7 +282,7 @@ RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
       for (std::int64_t q = live.prevBelow(numPairs);
            q > static_cast<std::int64_t>(p) && eAdd > options.tol;
            q = live.prevBelow(static_cast<std::uint32_t>(q))) {
-        const Pair& shrink = pairs[static_cast<std::size_t>(q)];
+        const RefinePair& shrink = pairs[static_cast<std::size_t>(q)];
         if (shrink.psi >= grow.psi - kPsiTol) break;
         const double tShrink = schedule.at(shrink.task, shrink.machine);
         const Machine& ms = inst.machine(shrink.machine);

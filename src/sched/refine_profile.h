@@ -8,7 +8,13 @@
 // LP in our tests).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "sched/schedule.h"
+#include "sched/single_machine.h"
 #include "sched/slack_engine.h"
 #include "sched/types.h"
 #include "util/cancel.h"
@@ -46,8 +52,46 @@ struct RefineStats {
   }
 };
 
-/// Refines `schedule` in place. Total energy consumption never increases;
-/// total accuracy never decreases.
+/// One (accuracy segment, machine) pair, the unit of the refinement search.
+struct RefinePair {
+  int task;
+  int segment;
+  int machine;
+  double slope;  ///< segment slope (accuracy per TFLOP)
+  double psi;    ///< accuracy-per-Joule ψ = slope · E_r
+  double fLo;
+  double fHi;
+};
+
+/// Refine's walk order, which depends on the instance alone (DESIGN.md §19):
+/// every (segment, machine) pair by non-increasing ψ, ties broken by (task,
+/// segment, machine). Build it once per instance; every refineProfile call
+/// on that instance can walk it.
+struct RefinePlan {
+  std::vector<RefinePair> pairs;  ///< in walk order
+  /// firstSeg[j] numbers task j's segments globally (firstSeg[n] is the
+  /// segment count S), so (firstSeg[j] + k) · m + r is pair (j, k, r)'s
+  /// creation index.
+  std::vector<std::size_t> firstSeg;
+  /// Creation index → index into `pairs`.
+  std::vector<std::uint32_t> position;
+};
+
+/// Builds the plan from the instance's segment jobs in sortSegmentJobs
+/// order (the ProfileEvaluator keeps that list). O(P log m) for P = S·m
+/// pairs on m machines.
+RefinePlan buildRefinePlan(const Instance& inst,
+                           std::span<const SegmentJob> sortedSegments);
+/// Builds the plan, sorting the instance's segment jobs first.
+RefinePlan buildRefinePlan(const Instance& inst);
+
+/// Refines `schedule` in place, walking `plan`, which must be the instance's
+/// plan. Total energy consumption never increases; total accuracy never
+/// decreases.
+RefineStats refineProfile(const Instance& inst, const RefinePlan& plan,
+                          FractionalSchedule& schedule,
+                          const RefineOptions& options = {});
+/// One-shot form: builds the instance's plan for this call alone.
 RefineStats refineProfile(const Instance& inst, FractionalSchedule& schedule,
                           const RefineOptions& options = {});
 

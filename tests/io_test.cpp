@@ -1,6 +1,9 @@
 #include "io/instance_io.h"
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +101,112 @@ TEST(InstanceIo, RejectsMalformedInput) {
   expectReject("dsct-instance v1\nbudget 1\nfrobnicate x\n");
   expectReject("dsct-instance v1\nbudget 1\nmachine m0 1.0 0.01\n"
                "task t0 1.0 2 0 0.9 3 0.1\n");  // decreasing accuracy
+}
+
+// --- Non-finite and non-integral numbers ---------------------------------
+// Every numeric field is checked to be finite, and every index to be an int,
+// before it is used: an infinite deadline once made FR-OPT stop below the LP
+// optimum, and casting nan or 1e12 to int is undefined.
+
+using Lines = std::vector<std::vector<std::string>>;
+
+std::string joinLines(const Lines& lines) {
+  std::string text;
+  for (const std::vector<std::string>& tokens : lines) {
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      text += (i == 0 ? "" : " ") + tokens[i];
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+/// Expects `read` to throw a CheckError that names line `line` (1-based).
+template <typename Read>
+void expectRejectedAtLine(const Read& read, const std::string& text,
+                          int line) {
+  std::stringstream in(text);
+  try {
+    read(in);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const CheckError& e) {
+    const std::string needle = "line " + std::to_string(line) + ":";
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+const Lines kInstanceLines = {
+    {"dsct-instance", "v1"},
+    {"budget", "10"},
+    {"machine", "m0", "2.0", "0.05"},
+    {"task", "t0", "1.5", "2", "0", "0.1", "3", "0.9"},
+};
+
+/// (line index, token index) of every numeric field in kInstanceLines.
+const std::vector<std::pair<std::size_t, std::size_t>> kInstanceNumbers = {
+    {1, 1}, {2, 2}, {2, 3}, {3, 2}, {3, 3}, {3, 4}, {3, 5}, {3, 6}, {3, 7}};
+
+const auto readInstanceFrom = [](std::istream& in) {
+  return io::readInstance(in);
+};
+
+TEST(InstanceIo, RejectsNonFiniteNumbers) {
+  std::stringstream valid(joinLines(kInstanceLines));
+  ASSERT_NO_THROW(io::readInstance(valid));
+  for (const auto& [line, token] : kInstanceNumbers) {
+    for (const char* bad : {"inf", "-inf", "nan"}) {
+      Lines lines = kInstanceLines;
+      lines[line][token] = bad;
+      SCOPED_TRACE(joinLines(lines));
+      expectRejectedAtLine(readInstanceFrom, joinLines(lines),
+                           static_cast<int>(line) + 1);
+    }
+  }
+}
+
+TEST(InstanceIo, RejectsNonIntegralPointCounts) {
+  for (const char* bad : {"nan", "1e12", "-1e12", "2.5"}) {
+    Lines lines = kInstanceLines;
+    lines[3][3] = bad;
+    SCOPED_TRACE(bad);
+    expectRejectedAtLine(readInstanceFrom, joinLines(lines), 4);
+  }
+}
+
+TEST(ScheduleIo, RejectsNonFiniteNumbers) {
+  const Instance inst = tinyInstance();
+  const auto read = [&inst](std::istream& in) {
+    return io::readSchedule(in, inst);
+  };
+  const Lines valid = {{"dsct-schedule", "v1"},
+                       {"assign", "0", "0", "0.5"},
+                       {"assign", "1", "1", "0.25"}};
+  std::stringstream in(joinLines(valid));
+  ASSERT_NO_THROW(io::readSchedule(in, inst));
+  for (std::size_t token = 1; token <= 3; ++token) {
+    for (const char* bad : {"inf", "-inf", "nan"}) {
+      Lines lines = valid;
+      lines[2][token] = bad;
+      SCOPED_TRACE(joinLines(lines));
+      expectRejectedAtLine(read, joinLines(lines), 3);
+    }
+  }
+}
+
+TEST(ScheduleIo, RejectsNonIntegralIndices) {
+  const Instance inst = tinyInstance();
+  const auto read = [&inst](std::istream& in) {
+    return io::readSchedule(in, inst);
+  };
+  for (std::size_t token = 1; token <= 2; ++token) {
+    for (const char* bad : {"nan", "1e12", "-1e12", "2.5"}) {
+      Lines lines = {{"dsct-schedule", "v1"}, {"assign", "0", "0", "0.5"}};
+      lines[1][token] = bad;
+      SCOPED_TRACE(joinLines(lines));
+      expectRejectedAtLine(read, joinLines(lines), 2);
+    }
+  }
 }
 
 TEST(InstanceIo, GarbageInputsThrowCleanly) {

@@ -266,5 +266,38 @@ TEST(FrOpt, GenerousBudgetSaturatesTasksWithinDeadlines) {
   EXPECT_NEAR(fr.totalAccuracy, inst.totalAmax(), 1e-6);
 }
 
+// FR-OPT skips a refine call only while the schedule is still the one that
+// a transfer-free refine call returned (DESIGN.md §19). Outputs rarely show
+// a wrong skip, so these cases were found by sweeping corpus and random
+// instances with the skip rule broken. The pins are the values from before
+// the skip existed.
+//  * A refine call after an adopted profile moves energy on the first two.
+//    If adoption did not end the skip, case (1003, 17) would make 2
+//    transfers, and its accuracy would move in the 12th digit.
+//  * On the third, a refine call follows a call that transferred. If a
+//    call that transferred also started the skip, it would make 131
+//    transfers.
+TEST(FrOptSettled, SkipsOnlyCallsThatWouldMoveNothing) {
+  struct Case {
+    Instance inst;
+    long transfers;
+    int outerRounds;
+    double accuracy;
+  };
+  const Case cases[] = {
+      {testing::corpusInstance(1003, 17), 8, 4, 9.7400906765046003},
+      {randomInstance(deriveSeed(99, 103), 12, 6, 0.05, 0.2, 0.1, 4.9), 17,
+       4, 9.5505871361274348},
+      {randomInstance(deriveSeed(99, 51), 12, 6, 0.05, 0.2, 0.1, 4.9), 170,
+       3, 9.7963485310872684},
+  };
+  for (const Case& c : cases) {
+    const FrOptResult result = solveFrOpt(c.inst);
+    EXPECT_EQ(result.refineStats.transfers, c.transfers);
+    EXPECT_EQ(result.counters.outerRounds, c.outerRounds);
+    EXPECT_EQ(result.totalAccuracy, c.accuracy);
+  }
+}
+
 }  // namespace
 }  // namespace dsct

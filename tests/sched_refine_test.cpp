@@ -1,9 +1,12 @@
 // Dedicated tests for RefineProfile (Algorithm 3) and solveForProfile (the
-// generalised Algorithm 2 core), plus the differential that pins the
-// live-donor walk to the linear-scan reference.
+// generalised Algorithm 2 core), the differential that pins the live-donor
+// walk to the linear-scan reference, and the pins on refine's pair plan.
 #include "sched/refine_profile.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 
 #include "sched/fr_opt.h"
 #include "sched/naive_solution.h"
+#include "sched/profile_evaluator.h"
 #include "sched/validator.h"
 #include "tests/refine_linear_scan_reference.h"
 #include "tests/test_support.h"
@@ -275,6 +279,248 @@ TEST(RefineLiveDonors, BitIdenticalWithAThreeLevelLiveSet) {
     }
   }
   EXPECT_GT(transfers, 0);
+}
+
+// --- Transfer-free calls settle the schedule --------------------------------
+// FR-OPT skips a refine call while the schedule is still the one a
+// transfer-free call returned (DESIGN.md §19). That is sound only if refine
+// keeps no state across calls: a second call on that schedule must again
+// move nothing, keep every bit and report the same stats.
+
+TEST(RefineSettled, TransferFreeCallRepeatsExactly) {
+  constexpr int kSeeds = 120;
+  int settledCalls = 0;
+  for (int c = 0; c < kSeeds; ++c) {
+    const Instance inst =
+        corpusInstance(deriveSeed(20261017u, static_cast<std::uint64_t>(c)),
+                       c);
+    const RefinePlan plan = buildRefinePlan(inst);
+    Rng rng(deriveSeed(4242u, static_cast<std::uint64_t>(c)));
+    for (int start = 0; start < 3; ++start) {
+      const FractionalSchedule initial = refineStart(inst, start, rng);
+      const std::vector<double> caps = capsAround(inst, initial, rng);
+      for (const bool capped : {false, true}) {
+        SCOPED_TRACE("case " + std::to_string(c) + " start " +
+                     std::to_string(start) + (capped ? " capped" : ""));
+        RefineOptions options;
+        if (capped) options.machineEnergyCaps = &caps;
+        FractionalSchedule once = initial;
+        const RefineStats first = refineProfile(inst, plan, once, options);
+        if (first.transfers != 0) continue;
+        ++settledCalls;
+        FractionalSchedule twice = once;
+        const RefineStats second = refineProfile(inst, plan, twice, options);
+        EXPECT_EQ(second.transfers, 0);
+        EXPECT_EQ(second.rounds, first.rounds);
+        EXPECT_EQ(bits(second.energyMoved), bits(first.energyMoved));
+        EXPECT_EQ(second.slack.queries, first.slack.queries);
+        EXPECT_EQ(second.slack.hits, first.slack.hits);
+        EXPECT_EQ(second.slack.rebuilds, first.slack.rebuilds);
+        EXPECT_EQ(second.slack.invalidations, first.slack.invalidations);
+        int changed = 0;
+        for (int j = 0; j < inst.numTasks(); ++j) {
+          for (int r = 0; r < inst.numMachines(); ++r) {
+            if (bits(once.at(j, r)) != bits(initial.at(j, r))) ++changed;
+            if (bits(twice.at(j, r)) != bits(initial.at(j, r))) ++changed;
+          }
+        }
+        EXPECT_EQ(changed, 0);
+      }
+    }
+  }
+  // The naive start rarely transfers, so most of its calls are checked.
+  EXPECT_GE(settledCalls, 100);
+}
+
+// --- The pair plan ----------------------------------------------------------
+// buildRefinePlan merges per-machine streams instead of sorting every pair
+// (DESIGN.md §19). Its order must equal a full sort under the walk's
+// comparator, field for field and bit for bit.
+
+/// Every (segment, machine) pair in creation order, sorted by the walk's
+/// comparator: the construction the plan replaced, kept as its oracle.
+std::vector<RefinePair> sortedPairsReference(const Instance& inst) {
+  std::vector<RefinePair> pairs;
+  for (int j = 0; j < inst.numTasks(); ++j) {
+    const PiecewiseLinearAccuracy& acc = inst.task(j).accuracy;
+    for (int k = 0; k < acc.numSegments(); ++k) {
+      const AccuracySegment seg = acc.segment(k);
+      for (int r = 0; r < inst.numMachines(); ++r) {
+        const double e = inst.machine(r).efficiency;
+        pairs.push_back({j, k, r, seg.slope, seg.slope * e, seg.fLo, seg.fHi});
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const RefinePair& a, const RefinePair& b) {
+              if (a.psi != b.psi) return a.psi > b.psi;
+              if (a.task != b.task) return a.task < b.task;
+              if (a.segment != b.segment) return a.segment < b.segment;
+              return a.machine < b.machine;
+            });
+  return pairs;
+}
+
+/// Expects `plan` to be the reference order with consistent firstSeg and
+/// position. Returns the number of adjacent pairs with equal ψ.
+int expectPlanMatchesSort(const Instance& inst, const RefinePlan& plan) {
+  const std::vector<RefinePair> want = sortedPairsReference(inst);
+  const auto m = static_cast<std::size_t>(inst.numMachines());
+  EXPECT_EQ(plan.firstSeg.size(),
+            static_cast<std::size_t>(inst.numTasks()) + 1);
+  EXPECT_EQ(plan.firstSeg.front(), 0u);
+  for (int j = 0; j < inst.numTasks(); ++j) {
+    EXPECT_EQ(plan.firstSeg[static_cast<std::size_t>(j) + 1] -
+                  plan.firstSeg[static_cast<std::size_t>(j)],
+              static_cast<std::size_t>(inst.task(j).accuracy.numSegments()));
+  }
+  EXPECT_EQ(plan.pairs.size(), want.size());
+  EXPECT_EQ(plan.position.size(), want.size());
+  if (plan.pairs.size() != want.size() ||
+      plan.position.size() != want.size()) {
+    return 0;
+  }
+  int mismatches = 0;
+  int ties = 0;
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    const RefinePair& got = plan.pairs[q];
+    const RefinePair& ref = want[q];
+    const bool same = got.task == ref.task && got.segment == ref.segment &&
+                      got.machine == ref.machine &&
+                      bits(got.slope) == bits(ref.slope) &&
+                      bits(got.psi) == bits(ref.psi) &&
+                      bits(got.fLo) == bits(ref.fLo) &&
+                      bits(got.fHi) == bits(ref.fHi);
+    if (!same && mismatches++ == 0) {
+      ADD_FAILURE() << "pair " << q << ": (" << got.task << ", "
+                    << got.segment << ", " << got.machine << ") vs ("
+                    << ref.task << ", " << ref.segment << ", " << ref.machine
+                    << ")";
+    }
+    // position inverts the order: creation index → q.
+    const std::size_t creation =
+        (plan.firstSeg[static_cast<std::size_t>(ref.task)] +
+         static_cast<std::size_t>(ref.segment)) *
+            m +
+        static_cast<std::size_t>(ref.machine);
+    if (plan.position[creation] != q && mismatches++ == 0) {
+      ADD_FAILURE() << "position[" << creation << "] = "
+                    << plan.position[creation] << ", want " << q;
+    }
+    if (q > 0 && want[q - 1].psi == ref.psi) ++ties;
+  }
+  EXPECT_EQ(mismatches, 0);
+  return ties;
+}
+
+/// Checks both entry points: the plan from the evaluator's segment list, as
+/// FR-OPT builds it, and the one that sorts its own.
+int expectPlansMatchSort(const Instance& inst) {
+  const ProfileEvaluator evaluator(inst);
+  const int ties = expectPlanMatchesSort(
+      inst, buildRefinePlan(inst, evaluator.sortedSegments()));
+  expectPlanMatchesSort(inst, buildRefinePlan(inst));
+  return ties;
+}
+
+Task linearTask(double deadline, double slope) {
+  return Task{deadline,
+              PiecewiseLinearAccuracy::fromPoints({0.0, 1.0}, {0.0, slope}),
+              "linear"};
+}
+
+TEST(RefinePlan, MatchesFullSortOverCorpus) {
+  constexpr int kCases = 600;
+  int ties = 0;
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    ties += expectPlansMatchSort(corpusInstance(
+        deriveSeed(20261018u, static_cast<std::uint64_t>(c)), c));
+  }
+  // Wider fleets: more merge passes, and m not a power of two.
+  for (const int m : {6, 7, 8, 16}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    ties += expectPlansMatchSort(
+        randomInstance(deriveSeed(5252u, static_cast<std::uint64_t>(m)), 60, m,
+                       0.1, 0.3, 0.1, 4.9));
+  }
+  // Equal-ψ runs are where a merge could diverge from the sort.
+  EXPECT_GE(ties, 1000);
+}
+
+TEST(RefinePlan, PsiCollisionOrdersByTask) {
+  // Distinct slopes whose ψ round to one double: the slope order puts task 1
+  // first, the walk's comparator task 0.
+  const double lower = 0.45;
+  const double higher = std::nextafter(0.45, 1.0);
+  const double e = 0.035;
+  ASSERT_NE(lower, higher);
+  ASSERT_EQ(lower * e, higher * e);
+  const Instance inst({linearTask(1.0, lower), linearTask(2.0, higher)},
+                      {Machine{1.0, e, "a"}, Machine{2.0, e, "b"}}, 10.0);
+  ASSERT_EQ(inst.task(0).accuracy.slope(0), lower);
+  ASSERT_EQ(inst.task(1).accuracy.slope(0), higher);
+  expectPlansMatchSort(inst);
+  const RefinePlan plan = buildRefinePlan(inst);
+  ASSERT_EQ(plan.pairs.size(), 4u);
+  EXPECT_EQ(plan.pairs[0].task, 0);
+  EXPECT_EQ(plan.pairs[0].machine, 0);
+  EXPECT_EQ(plan.pairs[1].task, 0);
+  EXPECT_EQ(plan.pairs[1].machine, 1);
+  EXPECT_EQ(plan.pairs[2].task, 1);
+  EXPECT_EQ(plan.pairs[3].task, 1);
+}
+
+TEST(RefinePlan, EqualSlopesAcrossTasks) {
+  std::vector<Task> tasks;
+  for (int j = 0; j < 5; ++j) {
+    tasks.push_back(Task{1.0 + j, twoSegment(0.0, 0.8, 2.0), "same"});
+  }
+  const Instance inst(std::move(tasks),
+                      {Machine{1.0, 0.05, "a"}, Machine{2.0, 0.08, "b"},
+                       Machine{3.0, 0.05, "c"}},
+                      10.0);
+  EXPECT_GT(expectPlansMatchSort(inst), 0);
+}
+
+TEST(RefinePlan, AllFlatTasksKeepCreationOrder) {
+  std::vector<Task> tasks;
+  for (int j = 0; j < 4; ++j) {
+    tasks.push_back(Task{1.0 + j,
+                         PiecewiseLinearAccuracy::linear(0.2, 0.2, 1.0 + j),
+                         "flat"});
+  }
+  const Instance inst(std::move(tasks),
+                      {Machine{1.0, 0.05, "a"}, Machine{2.0, 0.08, "b"},
+                       Machine{3.0, 0.02, "c"}},
+                      10.0);
+  expectPlansMatchSort(inst);
+  const RefinePlan plan = buildRefinePlan(inst);
+  for (std::size_t i = 0; i < plan.position.size(); ++i) {
+    EXPECT_EQ(plan.position[i], i);  // every ψ is 0
+  }
+}
+
+TEST(RefinePlan, SingleMachine) {
+  for (int trial = 0; trial < 5; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expectPlansMatchSort(randomInstance(
+        deriveSeed(6161u, static_cast<std::uint64_t>(trial)), 20, 1));
+  }
+}
+
+TEST(RefinePlan, NoTasks) {
+  const Instance inst({}, {Machine{1.0, 0.05, "a"}, Machine{2.0, 0.08, "b"}},
+                      10.0);
+  const RefinePlan plan = buildRefinePlan(inst);
+  EXPECT_TRUE(plan.pairs.empty());
+  EXPECT_TRUE(plan.position.empty());
+  ASSERT_EQ(plan.firstSeg.size(), 1u);
+  EXPECT_EQ(plan.firstSeg[0], 0u);
+  FractionalSchedule schedule(0, 2);
+  const RefineStats stats = refineProfile(inst, plan, schedule);
+  EXPECT_EQ(stats.rounds, 0);
+  EXPECT_EQ(stats.transfers, 0);
 }
 
 }  // namespace

@@ -138,6 +138,27 @@ expect_flag_rejected("unknown flag --trace for `simulate`"
 expect_flag_rejected("unknown flag --nonsense for `solvers`"
                      solvers --nonsense)
 
+# Files with a non-finite number are rejected too, naming the line: an
+# infinite deadline would make FR-OPT stop below the LP optimum, and an
+# infinite duration would simulate to infinite energy.
+set(inf_inst ${WORKDIR}/cli_inf_instance.txt)
+run_step(${CLI} generate --tasks 6 --machines 2 --rho 0.3 --beta 0.5
+         --seed 11 --out ${inf_inst})
+file(READ ${inf_inst} inf_text)
+# task-5 has the latest deadline, on line 10.
+string(REGEX REPLACE "task task-5 [^ ]+ " "task task-5 inf " inf_text
+       "${inf_text}")
+file(WRITE ${inf_inst} "${inf_text}")
+expect_flag_rejected("line 10: expected finite number"
+                     solve ${inf_inst} --algo approx)
+set(inf_sched ${WORKDIR}/cli_inf_schedule.txt)
+file(READ ${sched} inf_text)
+string(REGEX REPLACE "assign 0 ([^ ]+) [^\n]+" "assign 0 \\1 inf" inf_text
+       "${inf_text}")
+file(WRITE ${inf_sched} "${inf_text}")
+expect_flag_rejected("line 2: expected finite number"
+                     simulate ${inst} ${inf_sched})
+
 # Conflicting flags and malformed files fail loudly.
 execute_process(COMMAND ${CLI} serve --scenario ${SCENARIO_DIR}/diurnal.dsct
                 --gpus T4 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
