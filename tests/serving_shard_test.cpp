@@ -179,5 +179,101 @@ TEST(ServingShard, ShardedAvailabilityRunStaysSafe) {
   EXPECT_EQ(stats.batteryExhaustions, 0);
 }
 
+// Sharded serving pins: every ServingStats field and the incident log to 17
+// digits, captured at commit 0f18d58.
+
+TEST(ServingGolden, ShardedMillionTasksBitIdentical) {
+  // perfbench's serve-sharded-approx workload: the million-task stream at
+  // its pinned seed under approx, shedding off, 8 cells, two epochs.
+  Scenario sc = loadScenarioFile(std::string(DSCT_SCENARIO_DIR) +
+                                 "/million_tasks.dsct");
+  sc.seed = 1000003;
+  sc.serving.policy = "approx";
+  sc.serving.admissionLoadFactor = 0.0;
+  sc.serving.shards = 8;
+  sc.serving.horizonSeconds = 2.0;
+  const sim::ServingStats s = sim::runServing(
+      materializeMachines(sc), sc.serving.policy, makeServingOptions(sc));
+  sim::ServingStats golden;
+  golden.requests = 9921;
+  golden.served = 5188;
+  golden.deadlineMisses = 2129;
+  golden.missPenalty = 2129.0;
+  golden.meanAccuracy = 0.16651610676612333;
+  golden.totalEnergy = 9995.7554002442484;
+  golden.meanLatency = 1.1807777653248346;
+  golden.epochs = 2;
+  golden.shardedEpochs = 2;
+  golden.shardPriceIterations = 16;
+  golden.shardTopUpCells = 8;
+  golden.shardTopUpEnergy = 27.127771838069751;
+  expectSameServing(s, golden);
+}
+
+TEST(ServingGolden, ShardedBatteryDeparturesBitIdentical) {
+  // Batteries cap the budget in seven of eight epochs and departures shrink
+  // the fleet, so each cell solve gets its slice of the present machines'
+  // charges.
+  sim::ServingOptions options = baseOptions();
+  options.shards = 2;
+  options.availability.enabled = true;
+  options.availability.batteryCapacityJoules = 12.0;
+  options.availability.rechargeWatts = 3.0;
+  options.availability.departMtbfSeconds = 2.0;
+  options.availability.seed = 11;
+  const sim::ServingStats s =
+      sim::runServing(fleet(), std::string("approx"), options);
+  sim::ServingStats golden;
+  golden.requests = 38;
+  golden.served = 18;
+  golden.meanAccuracy = 0.049425573919394013;
+  golden.totalEnergy = 79.5;
+  golden.meanLatency = 0.52574101197276146;
+  golden.epochs = 8;
+  golden.machineDepartures = 9;
+  golden.batteryCappedEpochs = 7;
+  golden.shardedEpochs = 8;
+  golden.shardPriceIterations = 30;
+  golden.shardTopUpCells = 10;
+  golden.shardTopUpEnergy = 35.932859200926337;
+  using K = sim::IncidentKind;
+  golden.incidents = {{1, K::kBatteryBudgetCapped, 22.5, 0},
+                      {2, K::kMachineDeparted, 2, 0},
+                      {2, K::kBatteryBudgetCapped, 3, 0},
+                      {3, K::kMachineDeparted, 2, 0},
+                      {3, K::kBatteryBudgetCapped, 4.5, 0},
+                      {4, K::kMachineDeparted, 1, 0},
+                      {4, K::kBatteryBudgetCapped, 6, 0},
+                      {5, K::kMachineDeparted, 1, 0},
+                      {5, K::kBatteryBudgetCapped, 5.0209588622785013, 0},
+                      {6, K::kMachineDeparted, 2, 0},
+                      {6, K::kBatteryBudgetCapped, 3, 0},
+                      {7, K::kMachineDeparted, 1, 0},
+                      {7, K::kBatteryBudgetCapped, 6.2827667876825668, 0}};
+  expectSameServing(s, golden);
+}
+
+TEST(ServingGolden, ShardedTopUpBitIdentical) {
+  // Three cells on four machines with backlog carry-over: the top-up pass
+  // re-solves 24 budget-bound cells over the eight epochs.
+  sim::ServingOptions options = baseOptions();
+  options.shards = 3;
+  options.shardSeed = 5;
+  const sim::ServingStats s =
+      sim::runServing(fleet(), std::string("approx"), options);
+  sim::ServingStats golden;
+  golden.requests = 38;
+  golden.served = 29;
+  golden.meanAccuracy = 0.15767317789799587;
+  golden.totalEnergy = 240.0;
+  golden.meanLatency = 0.61896229798047642;
+  golden.epochs = 8;
+  golden.shardedEpochs = 8;
+  golden.shardPriceIterations = 55;
+  golden.shardTopUpCells = 24;
+  golden.shardTopUpEnergy = 34.964620193767274;
+  expectSameServing(s, golden);
+}
+
 }  // namespace
 }  // namespace dsct
