@@ -88,7 +88,7 @@ int main() {
     double unshardedSeconds = -1.0;
     double unshardedAccuracy = -1.0;
     SolveContext baseContext;
-    baseContext.frOpt.pool = &pool;
+    baseContext.pool = &pool;
     if (point.tasks <= gapLimit) {
       Stopwatch watch;
       const SolveOutcome outcome = inner.solve(inst, baseContext);
@@ -102,7 +102,7 @@ int main() {
       options.seed = 7;
       shard::ShardCoordinator coordinator(inner, options);
       SolveContext context;
-      context.frOpt.pool = &pool;
+      context.pool = &pool;
       Stopwatch watch;
       const SolveOutcome outcome = coordinator.solve(inst, context);
       const double seconds = watch.elapsedSeconds();

@@ -76,13 +76,10 @@ int main() {
           o.availability.departMeanSeconds = 1.5;
           o.availability.batteryCapacityJoules = battery.capacityJoules;
           o.availability.rechargeWatts = battery.rechargeWatts;
-          // Same guard as fig7: a generous per-epoch solve budget plus the
-          // async pipeline (availability suppresses the overlap, so results
-          // stay bit-identical to the synchronous driver) exercises the
-          // cancellation plumbing at bench scale without perturbing the
+          // Same guard as fig7: a generous per-epoch solve budget exercises
+          // the cancellation plumbing at bench scale without perturbing the
           // sweep.
           o.epochTimeLimitSeconds = 0.25;
-          o.asyncServing = true;
           const sim::ServingStats s = sim::runServing(machines, policy, o);
           solveTimeouts += s.policyTimeouts;
           return std::vector<double>{
@@ -116,7 +113,7 @@ int main() {
   }
   table.print(std::cout);
   std::cout << "\nsolve timeouts over the whole sweep: " << solveTimeouts
-            << " (per-epoch budget 0.25 s, async pipeline on)\n";
+            << " (per-epoch budget 0.25 s)\n";
   std::cout << "\ntakeaway: departures shrink the fleet for whole epochs and "
                "batteries couple execution into later budgets — accuracy "
                "degrades gracefully because exhausted machines spill their "

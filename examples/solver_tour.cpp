@@ -51,8 +51,8 @@ int main() {
   const Instance inst = makeScenario(spec, 0.1, 1.0, 11);
 
   SolveContext context;
-  context.mip.timeLimitSeconds = 10.0;
-  context.lp.timeLimitSeconds = 10.0;
+  context.mipTimeLimitSeconds = 10.0;
+  context.lpTimeLimitSeconds = 10.0;
 
   std::cout << "\nn=" << inst.numTasks() << ", m=" << inst.numMachines()
             << ", budget " << formatFixed(inst.energyBudget(), 3) << ":\n";

@@ -9,10 +9,13 @@
 // normalizes the previously incompatible result structs (ApproxResult,
 // FrOptResult, BaselineResult, MipSolveSummary, LpResult).
 //
-// A `SolveContext` carries everything callers used to re-plumb ad hoc: the
-// FR-OPT options (refine configuration, worker pool) and the LP/MIP time
-// limits. Passing the same context to every solve is what makes an
-// experiment run exercise the exact configuration the serving loop does.
+// A `SolveContext` carries the per-solve inputs every caller shares, one
+// field each: the worker pool, the MIP and LP time limits, the cancel token,
+// the per-machine energy caps, the LP warm-start slot and the shard price.
+// The registry builds each algorithm's own options (FrOptOptions,
+// lp::MipOptions, lp::LpOptions) from it, so passing the same context to
+// every solve is what makes an experiment run exercise the exact
+// configuration the serving loop does.
 //
 // Dispatching through this API is numerically invisible: a registry solve
 // calls the same underlying function with the same options, so outcomes are
@@ -29,11 +32,12 @@
 #include "sched/fr_opt.h"
 #include "sched/schedule.h"
 #include "sched/types.h"
-#include "solver/mip.h"
 #include "solver/simplex.h"
 #include "util/cancel.h"
 
 namespace dsct {
+
+class ThreadPool;
 
 /// How a solve ended.
 enum class OutcomeStatus {
@@ -69,13 +73,6 @@ struct SolverCapabilities {
   /// still run under availability — the serving loop cuts over-assigned
   /// machines at execution time — but cannot avoid the exhaustion spill.
   bool availabilityAware = false;
-  /// Honours SolveContext::energyPrice: under a price λ >= 0 the solver caps
-  /// its energy appetite at the λ-priced demand — the energy whose marginal
-  /// accuracy-per-Joule ψ exceeds λ (DESIGN.md §18). The shard coordinator
-  /// uses this to make per-cell solves consistent with the outer price loop;
-  /// a negative price (the default) leaves the solve bit-identical to one
-  /// without this field.
-  bool priceGuided = false;
 };
 
 /// Per-epoch availability hints for capability-gated solvers (DESIGN.md
@@ -98,19 +95,21 @@ struct LpWarmStartSlot {
 };
 
 /// Shared per-call configuration, threaded through every dispatch layer
-/// instead of each one re-plumbing options ad hoc.
+/// instead of each one re-plumbing options ad hoc. Each input has exactly
+/// one field; the registry maps them onto the algorithms' own options.
 struct SolveContext {
-  /// Refine options and worker pool — consumed by the approx / fr-opt
-  /// solvers.
-  FrOptOptions frOpt;
-  /// Branch-and-bound options (time limit, node limit) for the MIP solvers.
-  lp::MipOptions mip;
-  /// Simplex options (time limit) for the fr-lp solver.
-  lp::LpOptions lp;
+  /// Borrowed worker pool: approx / fr-opt fan their independent profile
+  /// evaluations out on it, and the shard coordinator its cell solves. Null
+  /// runs serially; results are bit-identical either way.
+  ThreadPool* pool = nullptr;
+  /// Wall-clock limit (s) of the MIP solvers' branch and bound; <= 0 means
+  /// unlimited.
+  double mipTimeLimitSeconds = -1.0;
+  /// Wall-clock limit (s) of the fr-lp simplex; <= 0 means unlimited.
+  double lpTimeLimitSeconds = -1.0;
   /// Cooperative cancellation/deadline token, polled by every registered
   /// solver at its iteration boundaries. Null means "never cancel". The
-  /// token must outlive the solve call (the serving loop keeps it alive
-  /// until the background future is drained).
+  /// token must outlive the solve call.
   const CancelToken* cancel = nullptr;
   /// Per-machine energy caps for availability-aware solvers; null means
   /// none. Only solvers whose capabilities declare `availabilityAware`
@@ -121,12 +120,10 @@ struct SolveContext {
   /// Must outlive the solve call and must not be shared by concurrent
   /// solves (same rules as `cancel`).
   LpWarmStartSlot* lpWarm = nullptr;
-  /// Lagrangian energy price λ (accuracy per Joule) from the shard
-  /// coordinator's outer loop (DESIGN.md §18). Negative (the default) means
-  /// unpriced; only solvers whose capabilities declare `priceGuided` read
-  /// it. A priced solve caps its effective budget at
-  /// min(B, pricedEnergyDemand(inst, λ)) — energy whose marginal accuracy
-  /// rate falls below λ is left unspent for other cells.
+  /// Lagrangian energy price λ (accuracy per Joule) at which the shard
+  /// coordinator funded this cell solve (DESIGN.md §18); -1 (the default)
+  /// for unpriced solves, top-up re-solves included. An annotation only: no
+  /// solver reads it, because a cell's budget never exceeds its demand at λ.
   double energyPrice = -1.0;
 };
 

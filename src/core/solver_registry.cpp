@@ -9,7 +9,6 @@
 #include "mipmodel/dsct_lp.h"
 #include "mipmodel/dsct_mip.h"
 #include "sched/approx.h"
-#include "sched/energy_price.h"
 #include "sched/fr_opt.h"
 #include "util/check.h"
 
@@ -53,32 +52,22 @@ SolveOutcome fromBaseline(const Instance& inst, BaselineResult res) {
   return outcome;
 }
 
-/// Copy the context's FR-OPT option slice with the context-level token
-/// injected (an explicitly supplied option token wins) and the availability
-/// layer's per-machine energy caps attached when present.
-FrOptOptions frOptWithCancel(const SolveContext& context) {
-  FrOptOptions options = context.frOpt;
-  if (options.cancel == nullptr) options.cancel = context.cancel;
-  if (options.machineEnergyCaps == nullptr &&
-      context.availability != nullptr &&
-      !context.availability->machineEnergyCaps.empty()) {
-    options.machineEnergyCaps = &context.availability->machineEnergyCaps;
-  }
-  return options;
+/// The availability layer's per-machine energy caps, or null when the
+/// context carries none.
+const std::vector<double>* energyCaps(const SolveContext& context) {
+  return context.availability != nullptr &&
+                 !context.availability->machineEnergyCaps.empty()
+             ? &context.availability->machineEnergyCaps
+             : nullptr;
 }
 
-/// SolveContext::energyPrice for price-guided solvers: under a price λ >= 0
-/// the instance's budget is capped at the λ-priced energy demand (the shard
-/// coordinator's outer loop, DESIGN.md §18). Returns nullopt — solve the
-/// instance unchanged — when no price is set or the demand already exceeds
-/// the budget; the λ < 0 default is therefore bit-identical to a build
-/// without pricing.
-std::optional<Instance> pricedInstance(const Instance& inst,
-                                       const SolveContext& context) {
-  if (context.energyPrice < 0.0) return std::nullopt;
-  const double cap = pricedEnergyDemand(inst, context.energyPrice);
-  if (cap >= inst.energyBudget()) return std::nullopt;
-  return Instance(inst.tasks(), inst.machines(), cap);
+/// FR-OPT's options from the context: its pool, token and energy caps.
+FrOptOptions frOptOptions(const SolveContext& context) {
+  FrOptOptions options;
+  options.pool = context.pool;
+  options.cancel = context.cancel;
+  options.machineEnergyCaps = energyCaps(context);
+  return options;
 }
 
 SolveOutcome solveMipOutcome(const Instance& inst, const SolveContext& context,
@@ -86,11 +75,12 @@ SolveOutcome solveMipOutcome(const Instance& inst, const SolveContext& context,
   bool cancelled = false;
   std::optional<ApproxResult> warm;
   if (warmStart) {
-    warm = solveApprox(inst, frOptWithCancel(context));
+    warm = solveApprox(inst, frOptOptions(context));
     cancelled = warm->fractional.cancelled;
   }
-  lp::MipOptions mipOptions = context.mip;
-  if (mipOptions.cancel == nullptr) mipOptions.cancel = context.cancel;
+  lp::MipOptions mipOptions;
+  mipOptions.timeLimitSeconds = context.mipTimeLimitSeconds;
+  mipOptions.cancel = context.cancel;
   // The LP warm-start slot rides with the warm-started MIP only; mip-cold is
   // the deliberately cold reference point and ignores it.
   LpWarmStartSlot* slot = warmStart ? context.lpWarm : nullptr;
@@ -191,14 +181,10 @@ SolverRegistry::SolverRegistry() {
   approxCaps.integral = true;
   approxCaps.fractional = true;
   approxCaps.availabilityAware = true;  // honours per-machine energy caps
-  approxCaps.priceGuided = true;
   add(makeSolver(
           "approx", "DSCT-EA-Approx", approxCaps,
           [](const Instance& inst, const SolveContext& context) {
-            const std::optional<Instance> priced =
-                pricedInstance(inst, context);
-            ApproxResult res = solveApprox(priced.has_value() ? *priced : inst,
-                                           frOptWithCancel(context));
+            ApproxResult res = solveApprox(inst, frOptOptions(context));
             SolveOutcome outcome;
             if (res.fractional.cancelled) {
               outcome.status = OutcomeStatus::kCancelled;
@@ -217,14 +203,10 @@ SolverRegistry::SolverRegistry() {
   frOptCaps.integral = false;
   frOptCaps.fractional = true;
   frOptCaps.availabilityAware = true;  // honours per-machine energy caps
-  frOptCaps.priceGuided = true;
   add(makeSolver(
           "fr-opt", "DSCT-EA-FR-OPT", frOptCaps,
           [](const Instance& inst, const SolveContext& context) {
-            const std::optional<Instance> priced =
-                pricedInstance(inst, context);
-            FrOptResult res = solveFrOpt(priced.has_value() ? *priced : inst,
-                                         frOptWithCancel(context));
+            FrOptResult res = solveFrOpt(inst, frOptOptions(context));
             SolveOutcome outcome;
             if (res.cancelled) outcome.status = OutcomeStatus::kCancelled;
             outcome.counters = res.counters;
@@ -251,11 +233,7 @@ SolverRegistry::SolverRegistry() {
                  [](const Instance& inst, const SolveContext& context) {
                    EdfLevelsOptions options;
                    options.cancel = context.cancel;
-                   if (context.availability != nullptr &&
-                       !context.availability->machineEnergyCaps.empty()) {
-                     options.machineEnergyCaps =
-                         &context.availability->machineEnergyCaps;
-                   }
+                   options.machineEnergyCaps = energyCaps(context);
                    return fromBaseline(inst, solveEdfLevels(inst, options));
                  }),
       {"edf-levels"});
@@ -266,11 +244,7 @@ SolverRegistry::SolverRegistry() {
                  [](const Instance& inst, const SolveContext& context) {
                    EdfLevelsOptOptions options;
                    options.cancel = context.cancel;
-                   if (context.availability != nullptr &&
-                       !context.availability->machineEnergyCaps.empty()) {
-                     options.machineEnergyCaps =
-                         &context.availability->machineEnergyCaps;
-                   }
+                   options.machineEnergyCaps = energyCaps(context);
                    return fromBaseline(inst, solveEdfLevelsOpt(inst, options));
                  }),
       {"edf3-opt"});
@@ -300,8 +274,9 @@ SolverRegistry::SolverRegistry() {
           "fr-lp", "DSCT-EA-FR (LP via simplex)", frLpCaps,
           [](const Instance& inst, const SolveContext& context) {
             const DsctLp lpModel = buildFractionalLp(inst);
-            lp::LpOptions lpOptions = context.lp;
-            if (lpOptions.cancel == nullptr) lpOptions.cancel = context.cancel;
+            lp::LpOptions lpOptions;
+            lpOptions.timeLimitSeconds = context.lpTimeLimitSeconds;
+            lpOptions.cancel = context.cancel;
             SolveOutcome outcome;
             LpWarmStartSlot* slot = context.lpWarm;
             std::uint64_t structure = 0;

@@ -39,7 +39,6 @@
 #include "sched/types.h"
 #include "sched/validator.h"
 #include "sim/cluster.h"
-#include "sim/epoch_pipeline.h"
 #include "sim/faults.h"
 #include "sim/renewable.h"
 #include "sim/serving.h"

@@ -207,13 +207,6 @@ IntegralSchedule roundFractional(
                                  std::move(duration));
 }
 
-ApproxResult solveApprox(const Instance& inst,
-                         const RefineOptions& refineOptions) {
-  FrOptOptions options;
-  options.refine = refineOptions;
-  return solveApprox(inst, options);
-}
-
 ApproxResult solveApprox(const Instance& inst, const FrOptOptions& options) {
   FrOptResult fr = solveFrOpt(inst, options);
   IntegralSchedule rounded =

@@ -26,11 +26,10 @@ struct ApproxResult {
   double optimalityGap() const { return upperBound - totalAccuracy; }
 };
 
+/// `options` (worker pool, cancel token, per-machine energy caps) configure
+/// the FR-OPT solve whose fractional schedule is rounded.
 ApproxResult solveApprox(const Instance& inst,
-                         const RefineOptions& refineOptions = {});
-/// Full-options overload: the worker pool, cancel token and per-machine
-/// energy caps of FrOptOptions.
-ApproxResult solveApprox(const Instance& inst, const FrOptOptions& options);
+                         const FrOptOptions& options = {});
 
 /// Rounding step alone (exposed for tests): integralises a fractional
 /// solution using per-machine load quotas `wmax`. Placement never exceeds

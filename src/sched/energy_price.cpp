@@ -83,8 +83,4 @@ double PricedDemandCurve::largestPsiAtMost(double price) const {
   return it == psi_.end() ? 0.0 : *it;
 }
 
-double pricedEnergyDemand(const Instance& inst, double lambda) {
-  return PricedDemandCurve(inst).demandAt(lambda);
-}
-
 }  // namespace dsct

@@ -23,21 +23,19 @@
 
 namespace dsct {
 
-/// The energy (J) `inst` demands at energy price `lambda` (accuracy/J):
-/// every accuracy segment with ψ = slope · E* > λ on the most efficient
-/// machine E* is funded, task FLOPs capped by the work the whole fleet could
-/// deliver inside the task's deadline, the total capped at the fleet's
-/// horizon energy capacity. Non-increasing in λ; λ <= 0 funds everything.
-double pricedEnergyDemand(const Instance& inst, double lambda);
-
-/// Precomputed demand curve for repeated evaluation (the shard
+/// The energy (J) `inst` demands as a function of the energy price λ
+/// (accuracy/J), precomputed for repeated evaluation (the shard
 /// coordinator's price loop evaluates one curve per cell per iteration).
-/// demandAt(λ) matches pricedEnergyDemand(inst, λ) exactly.
+/// The curve reads the instance's tasks and machines, never its budget.
 class PricedDemandCurve {
  public:
   explicit PricedDemandCurve(const Instance& inst);
 
-  /// D(λ), a non-increasing step function; O(log segments) per call.
+  /// D(λ): every accuracy segment with ψ = slope · E* > λ on the most
+  /// efficient machine E* is funded, task FLOPs capped by the work the
+  /// whole fleet could deliver inside the task's deadline, the total capped
+  /// at the fleet's horizon energy capacity. A non-increasing step
+  /// function; λ <= 0 funds everything. O(log segments) per call.
   double demandAt(double lambda) const;
   /// The largest ψ over all funded segments (0 for empty instances); above
   /// this price the demand is 0.

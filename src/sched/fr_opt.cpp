@@ -195,13 +195,6 @@ std::optional<PairMove> bestPairMove(const Instance& inst,
   return best;
 }
 
-FrOptResult solveFrOpt(const Instance& inst,
-                       const RefineOptions& refineOptions) {
-  FrOptOptions options;
-  options.refine = refineOptions;
-  return solveFrOpt(inst, options);
-}
-
 FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   const Stopwatch totalWatch;
   ProfileEvaluator evaluator(inst);
@@ -243,11 +236,9 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   };
 
   // Forward the token (and the energy caps) into RefineProfile's round loop.
-  RefineOptions refineOptions = options.refine;
-  if (refineOptions.cancel == nullptr) refineOptions.cancel = options.cancel;
-  if (refineOptions.machineEnergyCaps == nullptr) {
-    refineOptions.machineEnergyCaps = options.machineEnergyCaps;
-  }
+  RefineOptions refineOptions;
+  refineOptions.cancel = options.cancel;
+  refineOptions.machineEnergyCaps = options.machineEnergyCaps;
   // Refine's ψ order depends on the instance alone: every refine call of
   // this solve walks one plan (DESIGN.md §19).
   const Stopwatch planWatch;

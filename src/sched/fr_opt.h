@@ -67,7 +67,6 @@ struct FrOptCounters {
 };
 
 struct FrOptOptions {
-  RefineOptions refine;
   /// Borrowed worker pool for the independent profile evaluations
   /// (expansion candidates, pairwise directions, derivative probes). Null
   /// runs serially; both modes produce bit-identical schedules — evaluations
@@ -77,7 +76,8 @@ struct FrOptOptions {
   ThreadPool* pool = nullptr;
   /// Cooperative stop token, polled at the outer fixed-point rounds and
   /// inside the pair/direction escape searches (and forwarded to
-  /// RefineProfile's round loop). On early exit the incumbent schedule is
+  /// RefineProfile's round loop, which otherwise runs with the
+  /// RefineOptions defaults). On early exit the incumbent schedule is
   /// returned with `cancelled` set — it is feasible but may be suboptimal.
   const CancelToken* cancel = nullptr;
   /// Optional per-machine energy caps (J, indexed like the instance's
@@ -102,9 +102,7 @@ struct FrOptResult {
   bool cancelled = false;
 };
 
-FrOptResult solveFrOpt(const Instance& inst,
-                       const RefineOptions& refineOptions = {});
-FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options);
+FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options = {});
 
 /// One pairwise-transfer step (exposed for testing): the best energy-moving
 /// transfer over all machine pairs starting from `loads`, or nullopt when no

@@ -14,6 +14,11 @@ namespace dsct::shard {
 
 namespace {
 
+/// Convergence slack as a fraction of B: the price loop stops once the funded
+/// demand is within kBudgetTolerance x B below the budget (demand never
+/// exceeds B at the accepted price).
+constexpr double kBudgetTolerance = 0.01;
+
 /// One cell's static slice of the global instance.
 struct Cell {
   std::vector<int> machines;  ///< global machine indices, ascending
@@ -50,12 +55,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   }
 
   // --- partition and slice ---
-  PartitionOptions popt;
-  popt.cells = k;
-  popt.seed = options_.seed;
-  popt.balanceFactor = options_.balanceFactor;
-  popt.taskAffinity = options_.taskAffinity;
-  const Partition part = partitionInstance(inst, popt);
+  const Partition part = partitionInstance(inst, {k, options_.seed});
   const auto machinesOf = part.machinesOf();
   const auto tasksOf = part.tasksOf();
   std::vector<Cell> cells(static_cast<std::size_t>(k));
@@ -118,7 +118,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
     };
     double loDemand = demand;
     int sameSide = 0;  // +1: lo moved last, -1: hi moved last
-    while (stats_.priceIterations < options_.maxPriceIterations) {
+    while (stats_.priceIterations < kMaxPriceIterations) {
       if (breakpointBelow(hi) <= lo) {
         // No breakpoint left inside (lo, hi): hi is exactly critical.
         stats_.converged = true;
@@ -149,7 +149,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
         hiDemand = d;
         sameSide = sameSide < 0 ? sameSide - 1 : -1;
         // Close enough: the funded demand is within tolerance below B.
-        if (budget - d <= options_.budgetTolerance * budget) {
+        if (budget - d <= kBudgetTolerance * budget) {
           stats_.converged = true;
           break;
         }
@@ -203,10 +203,9 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   // --- parallel cell solves ---
   // The pool is forwarded into each cell solve: a cell solving on a worker
   // runs its own fan-outs inline (ThreadPool is re-entrant), so nesting is
-  // deadlock-free. energyPrice = λ keeps price-guided solvers consistent
-  // with the outer loop; B_c never exceeds the cell's demand at λ, so the
-  // priced budget cap is inactive here and active only for solvers that
-  // would otherwise overreach.
+  // deadlock-free. energyPrice records the price that funded the cell (-1
+  // for a top-up re-solve); no solver reads it, because B_c never exceeds
+  // the cell's demand at λ (DESIGN.md §18).
   const auto solveCell = [&](std::size_t c, double cellB,
                              double price) -> SolveOutcome {
     if (cells[c].tasks.empty()) return SolveOutcome{};
@@ -217,7 +216,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
     cellContext.energyPrice = price;
     return inner_.solve(cellInstance(cells[c], cellB), cellContext);
   };
-  ThreadPool* pool = context.frOpt.pool;
+  ThreadPool* pool = context.pool;
   std::vector<SolveOutcome> outcomes;
   if (pool != nullptr) {
     outcomes = pool->parallelMap(cells.size(), [&](std::size_t c) {
@@ -243,8 +242,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   // --- top-up: hand the run's leftover energy to budget-bound cells ---
   // A cell that spent (almost) its whole share is the one the budget
   // constrained; give it a slice of the global slack proportional to its
-  // remaining horizon capacity and re-solve unpriced (a price would cap the
-  // enlarged budget right back to the old demand).
+  // remaining horizon capacity and re-solve it, unpriced.
   if (options_.topUp && !cancelled) {
     const double slack = budget - used;
     std::vector<std::size_t> bound;
@@ -257,7 +255,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
         headroom += curves[c].capEnergy() - outcomes[c].energy;
       }
     }
-    if (slack > options_.budgetTolerance * budget * 0.1 && !bound.empty() &&
+    if (slack > kBudgetTolerance * budget * 0.1 && !bound.empty() &&
         headroom > 0.0) {
       std::vector<double> topBudget(cells.size(), 0.0);
       for (const std::size_t c : bound) {

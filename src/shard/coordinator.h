@@ -26,25 +26,18 @@
 
 namespace dsct::shard {
 
+/// Outer price-loop iteration cap, counted in demand evaluations. The demand
+/// curves are step functions, so the loop snaps every probe to a breakpoint
+/// (secant guess, midpoint fallback) and declares exact convergence once the
+/// bracket holds no interior breakpoint — in practice ≤ 8 evaluations; 32 is
+/// a generous backstop.
+inline constexpr int kMaxPriceIterations = 32;
+
 struct ShardOptions {
   /// Cell count K; <= 1 delegates to the inner solver unchanged.
   int cells = 1;
   /// Partitioner seed (see PartitionOptions::seed).
   std::uint64_t seed = 0;
-  /// Locality admission threshold forwarded to the partitioner.
-  double balanceFactor = 1.25;
-  /// Optional per-task preferred machine forwarded to the partitioner.
-  const std::vector<int>* taskAffinity = nullptr;
-  /// Outer price-loop iteration cap, counted in demand evaluations. The
-  /// demand curves are step functions, so the loop snaps every probe to a
-  /// breakpoint (secant guess, midpoint fallback) and declares exact
-  /// convergence once the bracket holds no interior breakpoint — in
-  /// practice ≤ 8 evaluations; 32 is a generous backstop.
-  int maxPriceIterations = 32;
-  /// Convergence slack as a fraction of B: the loop stops once the funded
-  /// demand is within `budgetTolerance` x B below the budget (demand never
-  /// exceeds B at the accepted price).
-  double budgetTolerance = 0.01;
   /// Re-solve budget-bound cells with the run's leftover energy.
   bool topUp = true;
 };
@@ -84,10 +77,10 @@ class ShardCoordinator {
   ShardStats stats_;
 };
 
-/// Solver adapter: lets every existing dispatch layer (serving loop, async
-/// pipeline, fallback chains, benches) treat a sharded solve as a normal
-/// Solver. The coordinator inside is mutable state, so the adapter inherits
-/// its at-most-one-solve-in-flight rule.
+/// Solver adapter: lets every existing dispatch layer (serving loop,
+/// fallback chains, benches) treat a sharded solve as a normal Solver. The
+/// coordinator inside is mutable state, so the adapter inherits its
+/// at-most-one-solve-in-flight rule.
 class ShardedSolver final : public Solver {
  public:
   ShardedSolver(const Solver& inner, ShardOptions options);

@@ -5,10 +5,9 @@
 // Machines are spread LPT-style (largest speed first, seeded tie-break) so
 // every cell gets a comparable slice of the fleet's throughput; tasks follow
 // in deadline order onto the cell with the least relative load
-// (assigned fmax / cell speed), optionally honouring per-task machine
-// affinity when the preferred cell is not overloaded. The partition is a
-// pure function of (instance, options) — same inputs, same cells, bit for
-// bit — which is what makes sharded serving runs replayable.
+// (assigned fmax / cell speed). The partition is a pure function of
+// (instance, options) — same inputs, same cells, bit for bit — which is what
+// makes sharded serving runs replayable.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +25,6 @@ struct PartitionOptions {
   /// ordered by a seeded hash of their index, so distinct seeds explore
   /// distinct (equally balanced) partitions deterministically.
   std::uint64_t seed = 0;
-  /// Locality admission threshold: a task follows its affinity machine's
-  /// cell only while that cell's relative load stays within
-  /// `balanceFactor` x the least-loaded cell's relative load.
-  double balanceFactor = 1.25;
-  /// Optional per-task preferred machine (global index, -1 for none),
-  /// indexed like the instance's tasks. Null disables locality routing.
-  const std::vector<int>* taskAffinity = nullptr;
 };
 
 struct Partition {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <future>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -18,7 +17,6 @@
 #include "core/solver_registry.h"
 #include "sched/validator.h"
 #include "shard/coordinator.h"
-#include "sim/epoch_pipeline.h"
 #include "sim/renewable.h"
 #include "util/cancel.h"
 #include "util/check.h"
@@ -120,33 +118,14 @@ struct EpochPlan {
   std::vector<int> fleet;
 };
 
-/// One scheduling attempt's solve: its context, the cancel token carrying
-/// the attempt's share of the epoch solve budget, and — for a primary
-/// submitted to the async pipeline — the future of its outcome. The
-/// in-flight solve references the context and token, so the destructor
-/// drains the future even when the epoch unwinds on an exception.
-struct AttemptSolve {
-  AttemptSolve() = default;
-  AttemptSolve(const AttemptSolve&) = delete;
-  AttemptSolve& operator=(const AttemptSolve&) = delete;
-  ~AttemptSolve() {
-    if (fut.valid()) fut.wait();
-  }
-
-  SolveContext ctx;
-  std::unique_ptr<CancelToken> token;
-  double start = 0.0;
-  double granted = kUnlimited;
-  std::future<SolveOutcome> fut;
-};
-
 /// Admission keeps every candidate when no load-factor cap applies.
 constexpr std::size_t kAdmitAll = std::numeric_limits<std::size_t>::max();
 
-/// One serving run. Each epoch runs the stages in order — read the epoch's
-/// arrivals, filter the fleet, admit (shedding past the load-factor cap),
-/// build the instance, set the budget, solve through the attempt chain,
-/// execute and retire — and each stage exists once (DESIGN.md §21).
+/// One serving run. Each epoch runs the stages in order on the calling
+/// thread — read the epoch's arrivals, filter the fleet, admit (shedding
+/// past the load-factor cap), build the instance, set the budget, solve
+/// through the attempt chain, execute and retire — and each stage exists
+/// once (DESIGN.md §21).
 class ServingRun {
  public:
   ServingRun(const std::vector<Machine>& machines, const std::string& policy,
@@ -167,10 +146,7 @@ class ServingRun {
   Active activate(const RequestSpec& spec) const;
   double epochBudget(long long epoch, double epochStart, double epochEnd,
                      const std::vector<int>& fleet);
-  void prepare(AttemptSolve& a, const Solver& solver, double start,
-               double granted);
-  IntegralSchedule schedule(const Instance& inst, long long epoch,
-                            std::optional<AttemptSolve>& async);
+  IntegralSchedule schedule(const Instance& inst, long long epoch);
   void execute(EpochPlan& plan);
   std::vector<Active> retire(std::vector<Active> batch, double epochEnd);
   void finalize(const Active& req);
@@ -192,11 +168,6 @@ class ServingRun {
   const bool guarded_;
   /// An epoch solve budget is set (implies guarded_).
   const bool limited_;
-  /// Async serving may defer an epoch's execution into the next epoch's
-  /// solve only when executing cannot change the next batch or budget:
-  /// backlog carry-over, faults, availability (battery drain) and admission
-  /// control all feed execution back into later epochs.
-  const bool overlap_;
 
   std::vector<RequestSpec> generated_;  ///< generator path only
   std::span<const RequestSpec> requests_;
@@ -215,13 +186,10 @@ class ServingRun {
   std::optional<LpWarmStartSlot> lpWarmSlot_;
   SolveContext solveCtx_;
   /// Per-epoch availability hints, refilled by the budget stage and handed
-  /// only to capability-gated solvers; a member so an async solve's context
-  /// can point at it.
+  /// only to capability-gated solvers.
   AvailabilityHints epochHints_;
-  std::unique_ptr<AsyncSolvePipeline> pipeline_;
 
   std::vector<Active> active_;  ///< requests in flight
-  std::optional<EpochPlan> pending_;  ///< overlap mode: awaiting execution
   ServingStats stats_;
   lp::LpCounters lpTotals_;
   double accuracySum_ = 0.0;
@@ -236,10 +204,7 @@ ServingRun::ServingRun(const std::vector<Machine>& machines,
       supply_(supply),
       guarded_(options.faults.enabled || options.validateEpochs ||
                options.epochTimeLimitSeconds > 0.0),
-      limited_(options.epochTimeLimitSeconds > 0.0),
-      overlap_(options.asyncServing && !options.carryBacklog &&
-               !options.faults.enabled && !options.availability.enabled &&
-               options.admissionLoadFactor <= 0.0) {
+      limited_(options.epochTimeLimitSeconds > 0.0) {
   DSCT_CHECK(!machines.empty());
   DSCT_CHECK(options.epochSeconds > 0.0);
   DSCT_CHECK_MSG(std::isfinite(options.horizonSeconds),
@@ -328,11 +293,8 @@ ServingRun::ServingRun(const std::vector<Machine>& machines,
     solverPool_ = std::make_unique<ThreadPool>(options.solverThreads);
   }
   if (options.lpWarmStarts && wantsLpWarm) lpWarmSlot_.emplace();
-  solveCtx_.frOpt.pool = solverPool_.get();
+  solveCtx_.pool = solverPool_.get();
   solveCtx_.lpWarm = lpWarmSlot_ ? &*lpWarmSlot_ : nullptr;
-  if (options.asyncServing) {
-    pipeline_ = std::make_unique<AsyncSolvePipeline>();
-  }
 }
 
 ServingStats ServingRun::run() {
@@ -386,39 +348,16 @@ ServingStats ServingRun::run() {
     const double budget = epochBudget(epoch, epochStart, epochEnd, fleet);
     Instance inst(std::move(tasks), std::move(present), budget);
 
-    // Async serving submits the primary solve to the pipeline thread before
-    // the previous epoch's deferred execution runs, so the two overlap. An
-    // epoch whose primary is an injected failure submits nothing: the
-    // chain would discard the result unsolved.
-    std::optional<AttemptSolve> async;
-    if (pipeline_ != nullptr && !faults_.policyFailureInjected(epoch)) {
-      AttemptSolve& a = async.emplace();
-      prepare(a, *primary_, limited_ ? now() : 0.0,
-              options_.epochTimeLimitSeconds);
-      a.fut = pipeline_->submit(*primary_, inst, a.ctx);
-      ++stats_.asyncEpochs;
-    }
-    // Overlap window: the previous epoch's plan executes here while this
-    // epoch's solve is in flight.
-    if (pending_.has_value()) {
-      execute(*pending_);
-      pending_.reset();
-    }
-    IntegralSchedule sched = schedule(inst, epoch, async);
+    IntegralSchedule sched = schedule(inst, epoch);
     EpochPlan plan{epoch,           epochStart,         epochEnd,
                    std::move(inst), std::move(sched),   std::move(active_),
                    std::move(order), std::move(fleet)};
     active_.clear();
-    if (overlap_) {
-      pending_.emplace(std::move(plan));
-    } else {
-      execute(plan);
-    }
+    execute(plan);
   }
-  // Horizon over: execute the last deferred plan, then finalize whatever is
-  // still in flight. Arrivals past the last epoch (possible with
-  // caller-provided times) are outside the simulation and not counted.
-  if (pending_.has_value()) execute(*pending_);
+  // Horizon over: finalize whatever is still in flight. Arrivals past the
+  // last epoch (possible with caller-provided times) are outside the
+  // simulation and not counted.
   for (const Active& req : active_) finalize(req);
 
   if (stats_.requests > 0) {
@@ -594,39 +533,20 @@ double ServingRun::epochBudget(long long epoch, double epochStart,
   return budget;
 }
 
-/// Prepare an attempt's solve context; under an epoch solve budget the
-/// attempt is granted `granted` seconds from `start` through its token.
-void ServingRun::prepare(AttemptSolve& a, const Solver& solver, double start,
-                         double granted) {
-  a.ctx = solveCtx_;
-  if (!epochHints_.machineEnergyCaps.empty() &&
-      solver.capabilities().availabilityAware) {
-    a.ctx.availability = &epochHints_;
-  }
-  if (!limited_) return;
-  a.start = start;
-  a.granted = granted;
-  if (granted > 0.0) {
-    a.token = std::make_unique<CancelToken>(granted, options_.clock);
-    a.ctx.cancel = a.token.get();
-  }
-}
-
 /// Solve the epoch through the attempt chain: the primary, then — if it
 /// fails in a guarded run — each fallback-chain entry in order. A throw, an
 /// injected failure, a solve-budget timeout or a validator rejection fails
 /// an attempt; if every attempt fails, the epoch serves an empty schedule
 /// rather than an infeasible one. An unguarded run is the primary attempt
 /// alone: its exceptions propagate and its schedule is not validated.
-IntegralSchedule ServingRun::schedule(const Instance& inst, long long epoch,
-                                      std::optional<AttemptSolve>& async) {
+IntegralSchedule ServingRun::schedule(const Instance& inst, long long epoch) {
   // The solve budget is shared by the whole chain and anchored at the
-  // moment the primary started — its submission time in async mode. Each
-  // attempt's token carries the *remaining* budget; once it is blown, later
-  // attempts run without a token (the chain must still serve the epoch,
-  // and the blowout is already on the incident log).
-  const double chainStart = !limited_ ? 0.0 : async ? async->start : now();
-  const double chainDeadline = chainStart + options_.epochTimeLimitSeconds;
+  // moment the primary starts. Each attempt's token carries the *remaining*
+  // budget; once it is blown, later attempts run without a token (the chain
+  // must still serve the epoch, and the blowout is already on the incident
+  // log).
+  const double chainDeadline =
+      limited_ ? now() + options_.epochTimeLimitSeconds : 0.0;
   // depth 0 = the primary, depth k = the k-th fallback attempt. Injected
   // failures fail every attempt below the trace's injectFailureDepth; real
   // exceptions are logged for the primary only.
@@ -638,18 +558,25 @@ IntegralSchedule ServingRun::schedule(const Instance& inst, long long epoch,
       incident(epoch, IncidentKind::kPolicyFailure, depth);
       return std::nullopt;
     }
-    const bool onPipeline = depth == 0 && async.has_value();
-    std::optional<AttemptSolve> local;
-    AttemptSolve& a = onPipeline ? *async : local.emplace();
-    if (!onPipeline) {
-      const double start = limited_ ? now() : 0.0;
-      prepare(a, solver, start, chainDeadline - start);
+    // The attempt's context: the run's resources, the epoch's availability
+    // hints for solvers that read them, and under a solve budget a token
+    // carrying what is left of it.
+    SolveContext ctx = solveCtx_;
+    if (!epochHints_.machineEnergyCaps.empty() &&
+        solver.capabilities().availabilityAware) {
+      ctx.availability = &epochHints_;
+    }
+    const double start = limited_ ? now() : 0.0;
+    const double granted = chainDeadline - start;
+    std::optional<CancelToken> token;
+    if (limited_ && granted > 0.0) {
+      token.emplace(granted, options_.clock);
+      ctx.cancel = &*token;
     }
     std::optional<IntegralSchedule> s;
     bool cancelled = false;
     try {
-      SolveOutcome outcome =
-          onPipeline ? a.fut.get() : solver.solve(inst, a.ctx);
+      SolveOutcome outcome = solver.solve(inst, ctx);
       lpTotals_.add(outcome.lpCounters);
       if (depth == 0) noteShard(epoch);
       cancelled = outcome.cancelled();
@@ -670,8 +597,8 @@ IntegralSchedule ServingRun::schedule(const Instance& inst, long long epoch,
     // A timeout: the solver observed its token and stopped early, or — for
     // slow non-cooperative spans — ran past its granted budget post hoc.
     // Attempts without a token are never flagged.
-    const double elapsed = limited_ ? now() - a.start : 0.0;
-    if (cancelled || (a.token != nullptr && elapsed > a.granted)) {
+    const double elapsed = limited_ ? now() - start : 0.0;
+    if (cancelled || (token.has_value() && elapsed > granted)) {
       if (depth == 0) ++stats_.policyFailures;
       ++stats_.policyTimeouts;
       incident(epoch, IncidentKind::kPolicyTimeout, elapsed, depth);

@@ -95,20 +95,10 @@ struct ServingOptions {
   /// injected `clock`; with the default steady clock it is wall-clock based
   /// and therefore not replay-deterministic.
   double epochTimeLimitSeconds = 0.0;
-  /// Run epoch solves on a background thread, double-buffered with
-  /// execution: while epoch k's schedule executes, epoch k+1's solve is
-  /// already running. The driver always drains the solve future (the
-  /// cooperative token, not a wall-clock wait, enforces the deadline), so
-  /// results are bit-identical to synchronous serving for deterministic
-  /// policies; only the wall-clock overlap differs. Overlap is suppressed
-  /// (solves still run on the background thread, without pipelining) when
-  /// execution feeds back into later epochs: backlog carry-over, faults,
-  /// availability or admission control.
-  bool asyncServing = false;
   /// Clock used for the epoch solve budget (seconds, monotonic). Empty uses
-  /// std::chrono::steady_clock. An injected clock must be callable from the
-  /// background solve thread concurrently with the driver (make it atomic);
-  /// tests inject a fake clock to make timeout behaviour deterministic.
+  /// std::chrono::steady_clock. An injected clock must be callable from
+  /// several threads at once (see ClockFn); tests inject a fake clock to
+  /// make timeout behaviour deterministic.
   ClockFn clock{};
   /// Ordered fallback chain, as solver-registry names: when the primary
   /// policy fails (throw, injected failure, timeout, validator rejection) in
@@ -213,8 +203,8 @@ struct ServingStats {
   int policyFailures = 0;      ///< primary-policy throws/timeouts/injections
   int policyTimeouts = 0;      ///< attempts over the epoch solve budget
                                ///< (any depth; cancelled mid-solve or post hoc)
-  int asyncEpochs = 0;         ///< epochs whose primary solve ran on the
-                               ///< async pipeline thread
+  /// Always 0; only perfbench reads it.
+  int asyncEpochs = 0;
   int validatorRejections = 0; ///< schedules rejected by the validator gate
   int budgetShockEpochs = 0;
   int noMachineEpochs = 0;     ///< epochs with every machine crashed/departed

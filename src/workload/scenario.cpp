@@ -525,8 +525,8 @@ class Parser {
         s.availSeed = parseSeed(kl);
       } else if (kl.key == "shards") {
         const double v = parseSingleNumber(kl);
-        require(v >= 0.0 && v == std::floor(v), kl,
-                "must be a non-negative integer (cell count)");
+        require(v >= 0.0 && v == std::floor(v) && v <= 1e9, kl,
+                "must be a non-negative integer (cell count) up to 1e9");
         s.shards = static_cast<int>(v);
       } else if (kl.key == "shard seed") {
         s.shardSeed = parseSeed(kl);

@@ -23,6 +23,7 @@
 #include "sched/validator.h"
 #include "tests/test_support.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace dsct {
 namespace {
@@ -33,8 +34,8 @@ constexpr std::uint64_t kSeed = 20240807u;
 
 SolveContext limitedContext() {
   SolveContext context;
-  context.mip.timeLimitSeconds = 2.0;
-  context.lp.timeLimitSeconds = 10.0;
+  context.mipTimeLimitSeconds = 2.0;
+  context.lpTimeLimitSeconds = 10.0;
   return context;
 }
 
@@ -93,8 +94,8 @@ TEST_P(SolverRegistryContract, MeetsContract) {
   if (!outcome.solved()) {
     // Only an exact solver that hit its time limit may come back empty.
     EXPECT_TRUE(caps.exact);
-    EXPECT_GE(outcome.wallSeconds, std::min(context.mip.timeLimitSeconds,
-                                            context.lp.timeLimitSeconds));
+    EXPECT_GE(outcome.wallSeconds, std::min(context.mipTimeLimitSeconds,
+                                            context.lpTimeLimitSeconds));
     return;
   }
 
@@ -205,6 +206,69 @@ TEST(SolverRegistry, FrOptOutcomeBitIdenticalToDirectCall) {
               direct.counters.directionLpSolves);
     ASSERT_TRUE(outcome.fractional.has_value());
     EXPECT_FALSE(outcome.schedule.has_value());
+  }
+}
+
+TEST(SolverRegistry, PooledSolvesMatchSerialBitwise) {
+  // SolveContext::pool reaches FR-OPT's profile evaluations; approx and
+  // fr-opt must return the serial outcome bit for bit.
+  ThreadPool pool(3);
+  SolveContext pooled;
+  pooled.pool = &pool;
+  for (const std::string name : {"approx", "fr-opt"}) {
+    const Solver& solver = SolverRegistry::instance().resolve(name);
+    for (int caseIdx : {0, 2, 4, 6}) {
+      SCOPED_TRACE(name + " case " + std::to_string(caseIdx));
+      const Instance inst = corpusInstance(kSeed, caseIdx);
+      const SolveOutcome serial = solver.solve(inst, SolveContext{});
+      const SolveOutcome parallel = solver.solve(inst, pooled);
+      EXPECT_EQ(parallel.totalAccuracy, serial.totalAccuracy);
+      EXPECT_EQ(parallel.energy, serial.energy);
+      EXPECT_EQ(parallel.upperBound, serial.upperBound);
+      EXPECT_EQ(parallel.machineLoads, serial.machineLoads);
+      EXPECT_EQ(parallel.counters.evaluations, serial.counters.evaluations);
+      if (serial.schedule.has_value()) {
+        ASSERT_TRUE(parallel.schedule.has_value());
+        expectSameIntegral(*parallel.schedule, *serial.schedule, inst);
+      }
+    }
+  }
+}
+
+TEST(SolverRegistry, AvailabilityCapsReachFrOpt) {
+  // The registry hands SolveContext::availability to FR-OPT as
+  // FrOptOptions::machineEnergyCaps: through the registry and directly,
+  // the capped solves agree bit for bit.
+  for (int caseIdx : {1, 3, 5}) {
+    SCOPED_TRACE("case " + std::to_string(caseIdx));
+    const Instance inst = corpusInstance(kSeed, caseIdx);
+    // Half of each machine's uncapped draw: binding wherever it is used.
+    const FrOptResult uncapped = solveFrOpt(inst);
+    AvailabilityHints hints;
+    for (int r = 0; r < inst.numMachines(); ++r) {
+      hints.machineEnergyCaps.push_back(
+          std::max(1e-3, 0.5 * uncapped.refinedProfile[r] *
+                             inst.machine(r).power()));
+    }
+    SolveContext context;
+    context.availability = &hints;
+    FrOptOptions direct;
+    direct.machineEnergyCaps = &hints.machineEnergyCaps;
+
+    const ApproxResult approx = solveApprox(inst, direct);
+    const SolveOutcome viaApprox =
+        SolverRegistry::instance().resolve("approx").solve(inst, context);
+    EXPECT_EQ(viaApprox.totalAccuracy, approx.totalAccuracy);
+    EXPECT_EQ(viaApprox.energy, approx.energy);
+    ASSERT_TRUE(viaApprox.schedule.has_value());
+    expectSameIntegral(*viaApprox.schedule, approx.schedule, inst);
+
+    const FrOptResult frOpt = solveFrOpt(inst, direct);
+    const SolveOutcome viaFrOpt =
+        SolverRegistry::instance().resolve("fr-opt").solve(inst, context);
+    EXPECT_EQ(viaFrOpt.totalAccuracy, frOpt.totalAccuracy);
+    EXPECT_EQ(viaFrOpt.machineLoads, frOpt.refinedProfile);
+    EXPECT_LT(frOpt.energy, uncapped.energy);  // the caps bind
   }
 }
 

@@ -1,6 +1,6 @@
 // Smoke loop over the shipped scenario zoo (scenarios/*.dsct): every file
 // must parse, materialise, and — horizon-clamped so the battery stays fast —
-// serve end-to-end under its own policy, identically with async serving on.
+// serve end-to-end under its own policy.
 // The million-task stress file is additionally pinned to materialise its
 // full ~1M-request trace.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@ namespace dsct {
 namespace {
 
 using testing::expectSameServing;
-using testing::withoutAsyncEpochs;
 
 std::vector<std::filesystem::path> zooFiles() {
   std::vector<std::filesystem::path> files;
@@ -60,20 +59,13 @@ TEST(ScenarioZoo, EveryFileServesEndToEnd) {
     // the stress file serves a short prefix instead of its full 200 s.
     sc.serving.horizonSeconds = std::min(sc.serving.horizonSeconds, 2.0);
     const std::vector<Machine> machines = materializeMachines(sc);
-    sim::ServingOptions options = makeServingOptions(sc);
+    const sim::ServingOptions options = makeServingOptions(sc);
     const sim::ServingStats stats =
         sim::runServing(machines, sc.serving.policy, options);
     EXPECT_EQ(static_cast<std::size_t>(stats.requests),
               options.requestTrace.size());
     EXPECT_GT(stats.epochs, 0);
     EXPECT_GE(stats.missPenalty, 0.0);
-    // The async pipeline solves every epoch that has a machine to solve for
-    // and changes nothing else, request trace and all.
-    options.asyncServing = true;
-    const sim::ServingStats async =
-        sim::runServing(machines, sc.serving.policy, options);
-    EXPECT_EQ(async.asyncEpochs, async.epochs - async.noMachineEpochs);
-    expectSameServing(stats, withoutAsyncEpochs(async));
   }
 }
 
@@ -94,13 +86,12 @@ TEST(ScenarioZoo, MillionTaskStressMaterialisesFullTrace) {
 
 TEST(ScenarioZoo, FlashCrowdShedsOnlyInItsBurst) {
   // Served over its full horizon, the flash crowd sheds, and only once its
-  // spike (t = 4 s) has begun; async serving changes nothing.
+  // spike (t = 4 s) has begun.
   const Scenario sc = loadScenarioFile(std::string(DSCT_SCENARIO_DIR) +
                                        "/flash_crowd.dsct");
   const std::vector<Machine> machines = materializeMachines(sc);
-  sim::ServingOptions options = makeServingOptions(sc);
-  const sim::ServingStats stats =
-      sim::runServing(machines, sc.serving.policy, options);
+  const sim::ServingStats stats = sim::runServing(
+      machines, sc.serving.policy, makeServingOptions(sc));
   EXPECT_GT(stats.shed, 0);
   const auto spikeEpoch = static_cast<long long>(4.0 / sc.serving.epochSeconds);
   for (const sim::EpochIncident& inc : stats.incidents) {
@@ -108,10 +99,6 @@ TEST(ScenarioZoo, FlashCrowdShedsOnlyInItsBurst) {
       EXPECT_GE(inc.epoch, spikeEpoch);
     }
   }
-  options.asyncServing = true;
-  const sim::ServingStats async =
-      sim::runServing(machines, sc.serving.policy, options);
-  expectSameServing(stats, withoutAsyncEpochs(async));
 }
 
 TEST(ServingGolden, MillionTasksShedPathBitIdentical) {

@@ -1,14 +1,18 @@
-// Cooperative cancellation and the async double-buffered serving pipeline:
-// async-off stays bit-identical to the synchronous driver, a deadline-missing
-// primary is cancelled mid-solve (not discarded post hoc), fallbacks receive
-// the remaining epoch budget, and the incident log records timeouts with
-// their attempt depth and elapsed seconds. An unguarded run, sync or async,
-// propagates a solver exception and executes its schedule unvalidated.
+// Cooperative cancellation and the serving loop's attempt chain: a
+// deadline-missing primary is cancelled mid-solve (not discarded post hoc),
+// fallbacks receive the remaining epoch budget, the incident log records
+// timeouts with their attempt depth and elapsed seconds, and chain entries
+// that would repeat the primary are skipped. An unguarded run propagates a
+// solver exception and executes its schedule unvalidated. Every attempt runs
+// on the serving thread, in epoch order.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "accuracy/fit.h"
@@ -17,20 +21,16 @@
 #include "core/solver_registry.h"
 #include "sched/schedule.h"
 #include "sim/serving.h"
-#include "tests/serving_support.h"
 #include "util/cancel.h"
 #include "workload/gpu_catalog.h"
 
 namespace dsct {
 namespace {
 
-using testing::expectSameServing;
-using testing::withoutAsyncEpochs;
-
-// Shared fake clock, advanced only by the test solvers below. Atomic so the
-// async pipeline thread and the driver can read it concurrently; all steps
-// are multiples of 1/64 s, so every elapsed-time comparison is exact in
-// binary floating point.
+// Shared fake clock, advanced only by the test solvers below. Atomic because
+// a ClockFn must be callable from several threads at once; all steps are
+// multiples of 1/64 s, so every elapsed-time comparison is exact in binary
+// floating point.
 std::atomic<double> g_clock{0.0};
 
 double fakeClock() { return g_clock.load(std::memory_order_relaxed); }
@@ -40,6 +40,31 @@ void advanceClock(double dt) {
   while (!g_clock.compare_exchange_weak(cur, cur + dt,
                                         std::memory_order_relaxed)) {
   }
+}
+
+/// What a logging test solver saw on one call.
+struct LoggedSolve {
+  int machines = 0;
+  std::thread::id thread;
+  /// Size of the availability hints' caps; -1 without hints.
+  long long caps = -1;
+};
+
+std::mutex g_logMutex;
+std::vector<LoggedSolve> g_log;
+
+void logSolve(const Instance& inst, const SolveContext& ctx) {
+  const std::lock_guard<std::mutex> lock(g_logMutex);
+  g_log.push_back({inst.numMachines(), std::this_thread::get_id(),
+                   ctx.availability != nullptr
+                       ? static_cast<long long>(
+                             ctx.availability->machineEnergyCaps.size())
+                       : -1});
+}
+
+std::vector<LoggedSolve> takeLog() {
+  const std::lock_guard<std::mutex> lock(g_logMutex);
+  return std::exchange(g_log, {});
 }
 
 IntegralSchedule emptySchedule(const Instance& inst) {
@@ -58,6 +83,9 @@ IntegralSchedule emptySchedule(const Instance& inst) {
 //  - test-late: stacks every task on machine 0 for its whole relative
 //    deadline — a schedule that misses deadlines and overdraws the budget,
 //    which the validator rejects.
+//  - test-log-throw: logs the call, then throws.
+//  - test-log-edf3 / test-log-edf3-aware: log the call, then solve with
+//    edf3; the second declares the availabilityAware capability.
 void registerTestSolvers() {
   static const bool once = [] {
     SolverCapabilities caps;
@@ -95,6 +123,25 @@ void registerTestSolvers() {
               inst, std::vector<int>(n, 0), std::move(durations));
           return out;
         }));
+    SolverRegistry::instance().add(makeSolver(
+        "test-log-throw", "Logs the call, then throws", caps,
+        [](const Instance& inst, const SolveContext& ctx) -> SolveOutcome {
+          logSolve(inst, ctx);
+          throw std::runtime_error("injected solver failure");
+        }));
+    const auto logThenEdf3 = [](const Instance& inst,
+                                const SolveContext& ctx) {
+      logSolve(inst, ctx);
+      return SolverRegistry::instance().resolve("edf3").solve(inst, ctx);
+    };
+    SolverRegistry::instance().add(
+        makeSolver("test-log-edf3", "Logs the call, then edf3", caps,
+                   logThenEdf3));
+    SolverCapabilities awareCaps = caps;
+    awareCaps.availabilityAware = true;
+    SolverRegistry::instance().add(
+        makeSolver("test-log-edf3-aware", "Logs the call, then edf3 (aware)",
+                   awareCaps, logThenEdf3));
     return true;
   }();
   (void)once;
@@ -146,9 +193,8 @@ TEST(Cancellation, AllRegisteredSolversObserveExpiredToken) {
 }
 
 TEST(Cancellation, ExplicitOptionTokenWinsOverContext) {
-  // A token passed via the option structs directly keeps working when the
-  // context carries none (the registry only injects context.cancel into a
-  // null option slot).
+  // A token passed to a direct API call, with no SolveContext involved,
+  // cancels the solve.
   CancelToken token;
   token.requestCancel();
   const Instance inst = tinyInstance();
@@ -156,71 +202,12 @@ TEST(Cancellation, ExplicitOptionTokenWinsOverContext) {
   EXPECT_TRUE(res.cancelled);
 }
 
-// Async serving with no solve budget is bit-identical to the synchronous
-// driver on the default (overlap-eligible) path: same requests, energy,
-// accuracy, and an empty incident log — only asyncEpochs differs.
-TEST(AsyncServing, DefaultPathMatchesSync) {
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  const auto sync = sim::runServing(machines, std::string("approx"),
-                                    baseOptions());
-  auto asyncOptions = baseOptions();
-  asyncOptions.asyncServing = true;
-  const auto async =
-      sim::runServing(machines, std::string("approx"), asyncOptions);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  EXPECT_EQ(sync.asyncEpochs, 0);
-  EXPECT_EQ(async.asyncEpochs, async.epochs);
-}
-
-// Backlog carry-over suppresses the execution/solve overlap (execution
-// feeds the next batch) but solves still run on the pipeline thread; the
-// results stay bit-identical.
-TEST(AsyncServing, BacklogPathMatchesSync) {
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  auto options = baseOptions();
-  options.carryBacklog = true;
-  const auto sync = sim::runServing(machines, std::string("approx"), options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, std::string("approx"), options);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  EXPECT_EQ(async.asyncEpochs, async.epochs);
-}
-
-// Guarded mode (validator on every epoch) with overlap enabled: the chain
-// machinery and the double buffer compose without changing results.
-TEST(AsyncServing, GuardedValidatedPathMatchesSync) {
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  auto options = baseOptions();
-  options.validateEpochs = true;
-  const auto sync = sim::runServing(machines, std::string("edf3"), options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, std::string("edf3"), options);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  EXPECT_EQ(async.asyncEpochs, async.epochs);
-}
-
-// Admission control feeds execution back into the next batch, so async
-// serving keeps the solves on the pipeline thread without the overlap; the
-// shed requests and their incidents match the synchronous run.
-TEST(AsyncServing, AdmissionShedPathMatchesSync) {
-  const auto machines = machinesFromCatalog({"T4"});
-  auto options = baseOptions();
-  options.arrivalRatePerSecond = 40.0;
-  options.admissionLoadFactor = 3.0;
-  const auto sync = sim::runServing(machines, std::string("approx"), options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, std::string("approx"), options);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  EXPECT_GT(async.shed, 0);
-  EXPECT_EQ(async.asyncEpochs, async.epochs);
-}
-
 // The acceptance scenario: a primary that would miss the epoch deadline is
 // cancelled mid-solve by its token (it observes the token and returns
 // kCancelled — the solve is not completed and then discarded), the epoch is
 // served by the fallback, and the incident log records the timeout with its
 // elapsed seconds and attempt depth.
-void runTimeoutFallbackScenario(bool asyncServing) {
+TEST(AttemptChain, TimeoutFallsBackWithinEpochBudget) {
   registerTestSolvers();
   g_clock.store(0.0);
   const auto machines = machinesFromCatalog({"T4", "V100"});
@@ -228,7 +215,6 @@ void runTimeoutFallbackScenario(bool asyncServing) {
   options.horizonSeconds = 2.0;
   options.clock = fakeClock;
   options.epochTimeLimitSeconds = 1.0 / 16.0;  // 4 sleepy slices, exact
-  options.asyncServing = asyncServing;
   const auto s =
       sim::runServing(machines, std::string("test-sleepy"), options);
 
@@ -238,7 +224,6 @@ void runTimeoutFallbackScenario(bool asyncServing) {
   EXPECT_EQ(s.policyFailures, s.epochs);
   EXPECT_EQ(s.fallbacks, s.epochs);
   EXPECT_GT(s.served, 0);  // the fallback actually served requests
-  EXPECT_EQ(s.asyncEpochs, asyncServing ? s.epochs : 0);
   ASSERT_EQ(s.incidents.size(), static_cast<std::size_t>(2 * s.epochs));
   for (int e = 0; e < s.epochs; ++e) {
     const sim::EpochIncident& timeout =
@@ -257,20 +242,12 @@ void runTimeoutFallbackScenario(bool asyncServing) {
   }
 }
 
-TEST(AsyncServing, TimeoutFallsBackWithinEpochBudgetSync) {
-  runTimeoutFallbackScenario(false);
-}
-
-TEST(AsyncServing, TimeoutFallsBackWithinEpochBudgetAsync) {
-  runTimeoutFallbackScenario(true);
-}
-
 // Fallback attempts receive the *remaining* epoch budget: after the primary
 // burns half of the 1/16 s budget and throws, the first fallback gets a
 // token with only the remaining 1/32 s — it is cancelled after exactly that
 // long (recorded at depth 1) — and the final fallback, with the budget
 // blown, runs unguarded and serves the epoch.
-TEST(AsyncServing, FallbacksReceiveRemainingBudget) {
+TEST(AttemptChain, FallbacksReceiveRemainingBudget) {
   registerTestSolvers();
   g_clock.store(0.0);
   const auto machines = machinesFromCatalog({"T4", "V100"});
@@ -300,71 +277,146 @@ TEST(AsyncServing, FallbacksReceiveRemainingBudget) {
 }
 
 // A guarded run (here: the validator alone, no solve budget) absorbs a
-// primary exception — in async mode one rethrown from the pipeline's future
-// — and serves every epoch from the fallback chain.
-TEST(AsyncServing, GuardedPrimaryExceptionFallsBack) {
+// primary exception and serves every epoch from the fallback chain.
+TEST(AttemptChain, GuardedPrimaryExceptionFallsBack) {
   registerTestSolvers();
   const auto machines = machinesFromCatalog({"T4", "V100"});
   auto options = baseOptions();
   options.validateEpochs = true;
-  const auto sync = sim::runServing(machines, "test-burn-throw", options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, "test-burn-throw", options);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  ASSERT_GT(async.epochs, 0);
-  EXPECT_EQ(async.asyncEpochs, async.epochs);
-  EXPECT_EQ(async.policyFailures, async.epochs);
-  EXPECT_EQ(async.fallbacks, async.epochs);
-  EXPECT_EQ(async.policyTimeouts, 0);
-  EXPECT_GT(async.served, 0);
-  ASSERT_EQ(async.incidents.size(), static_cast<std::size_t>(2 * async.epochs));
-  for (std::size_t i = 0; i < async.incidents.size(); i += 2) {
-    EXPECT_EQ(async.incidents[i].kind, sim::IncidentKind::kPolicyFailure);
-    EXPECT_EQ(async.incidents[i + 1].kind,
-              sim::IncidentKind::kFallbackEngaged);
+  const auto s = sim::runServing(machines, "test-burn-throw", options);
+  ASSERT_GT(s.epochs, 0);
+  EXPECT_EQ(s.policyFailures, s.epochs);
+  EXPECT_EQ(s.fallbacks, s.epochs);
+  EXPECT_EQ(s.policyTimeouts, 0);
+  EXPECT_GT(s.served, 0);
+  ASSERT_EQ(s.incidents.size(), static_cast<std::size_t>(2 * s.epochs));
+  for (std::size_t i = 0; i < s.incidents.size(); i += 2) {
+    EXPECT_EQ(s.incidents[i].kind, sim::IncidentKind::kPolicyFailure);
+    EXPECT_EQ(s.incidents[i + 1].kind, sim::IncidentKind::kFallbackEngaged);
   }
 }
 
 // An unguarded run (no faults, no validator, no solve budget) is the primary
 // attempt alone: a solver exception ends the run instead of engaging the
 // fallback chain.
-TEST(AsyncServing, UnguardedPrimaryExceptionPropagates) {
+TEST(AttemptChain, UnguardedPrimaryExceptionPropagates) {
   registerTestSolvers();
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  for (const bool asyncServing : {false, true}) {
-    SCOPED_TRACE(asyncServing ? "async" : "sync");
-    auto options = baseOptions();
-    options.asyncServing = asyncServing;
-    EXPECT_THROW(sim::runServing(machines, "test-burn-throw", options),
-                 std::runtime_error);
-  }
+  EXPECT_THROW(sim::runServing(machines, "test-burn-throw", baseOptions()),
+               std::runtime_error);
 }
 
 // ... and its schedule executes unvalidated, while validateEpochs makes the
 // same run reject it and demote every epoch to the fallback.
-TEST(AsyncServing, UnguardedScheduleExecutesUnvalidated) {
+TEST(AttemptChain, UnguardedScheduleExecutesUnvalidated) {
   registerTestSolvers();
   const auto machines = machinesFromCatalog({"T4", "V100"});
-  for (const bool asyncServing : {false, true}) {
-    SCOPED_TRACE(asyncServing ? "async" : "sync");
-    auto options = baseOptions();
-    options.asyncServing = asyncServing;
-    const auto unguarded = sim::runServing(machines, "test-late", options);
-    ASSERT_GT(unguarded.epochs, 0);
-    const double granted = options.energyBudgetPerEpoch * unguarded.epochs;
-    EXPECT_EQ(unguarded.validatorRejections, 0);
-    EXPECT_EQ(unguarded.fallbacks, 0);
-    EXPECT_TRUE(unguarded.incidents.empty());
-    EXPECT_GT(unguarded.deadlineMisses, 0);
-    EXPECT_GT(unguarded.totalEnergy, granted);
+  auto options = baseOptions();
+  const auto unguarded = sim::runServing(machines, "test-late", options);
+  ASSERT_GT(unguarded.epochs, 0);
+  const double granted = options.energyBudgetPerEpoch * unguarded.epochs;
+  EXPECT_EQ(unguarded.validatorRejections, 0);
+  EXPECT_EQ(unguarded.fallbacks, 0);
+  EXPECT_TRUE(unguarded.incidents.empty());
+  EXPECT_GT(unguarded.deadlineMisses, 0);
+  EXPECT_GT(unguarded.totalEnergy, granted);
 
-    options.validateEpochs = true;
-    const auto validated = sim::runServing(machines, "test-late", options);
-    EXPECT_EQ(validated.epochs, unguarded.epochs);
-    EXPECT_EQ(validated.validatorRejections, validated.epochs);
-    EXPECT_EQ(validated.fallbacks, validated.epochs);
-    EXPECT_LE(validated.totalEnergy, granted * (1.0 + 1e-9));
+  options.validateEpochs = true;
+  const auto validated = sim::runServing(machines, "test-late", options);
+  EXPECT_EQ(validated.epochs, unguarded.epochs);
+  EXPECT_EQ(validated.validatorRejections, validated.epochs);
+  EXPECT_EQ(validated.fallbacks, validated.epochs);
+  EXPECT_LE(validated.totalEnergy, granted * (1.0 + 1e-9));
+}
+
+// A chain entry equal to the primary would repeat the failed attempt: the
+// chain goes straight to the next entry, so the primary runs once per epoch.
+TEST(AttemptChain, ChainEntryEqualToPrimaryIsSkipped) {
+  registerTestSolvers();
+  takeLog();
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  auto options = baseOptions();
+  options.validateEpochs = true;
+  options.fallbackChain = {"test-log-throw", "edf3"};
+  const auto s = sim::runServing(machines, "test-log-throw", options);
+  ASSERT_GT(s.epochs, 0);
+  EXPECT_EQ(takeLog().size(), static_cast<std::size_t>(s.epochs));
+  EXPECT_EQ(s.policyFailures, s.epochs);
+  EXPECT_EQ(s.fallbacks, s.epochs);
+  EXPECT_GT(s.served, 0);
+}
+
+// A sharded primary that fails inside its cells is not retried unsharded:
+// the chain skips the inner solver too, so the inner solver only ever sees
+// a cell, never the whole fleet.
+TEST(AttemptChain, ShardedPrimarySkipsItsInnerSolver) {
+  registerTestSolvers();
+  takeLog();
+  const auto machines = machinesFromCatalog({"T4", "V100", "A100", "T4"});
+  auto options = baseOptions();
+  options.validateEpochs = true;
+  options.shards = 2;
+  options.fallbackChain = {"test-log-throw", "edf3"};
+  const auto s = sim::runServing(machines, "test-log-throw", options);
+  ASSERT_GT(s.epochs, 0);
+  const std::vector<LoggedSolve> log = takeLog();
+  EXPECT_GE(log.size(), static_cast<std::size_t>(s.epochs));
+  for (const LoggedSolve& solve : log) EXPECT_EQ(solve.machines, 2);
+  EXPECT_EQ(s.policyFailures, s.epochs);
+  EXPECT_EQ(s.fallbacks, s.epochs);
+  EXPECT_EQ(s.shardedEpochs, 0);  // no sharded solve completed
+}
+
+// Each epoch runs its stages in order on the thread that called
+// runServing: every attempt, primary or fallback, solves there, once per
+// epoch and attempt.
+TEST(AttemptChain, EverySolveRunsOnTheServingThread) {
+  registerTestSolvers();
+  takeLog();
+  const auto machines = machinesFromCatalog({"T4", "V100"});
+  auto options = baseOptions();
+  const auto plain = sim::runServing(machines, "test-log-edf3", options);
+  options.faults.enabled = true;
+  options.faults.injectPolicyFailureEpochs = {1, 4};
+  options.fallbackChain = {"test-log-edf3"};
+  const auto chained = sim::runServing(machines, "approx", options);
+  const std::vector<LoggedSolve> log = takeLog();
+  // One primary solve per epoch of the first run, one fallback solve per
+  // injected epoch of the second.
+  ASSERT_GT(plain.epochs, 4);
+  EXPECT_EQ(chained.fallbacks, 2);
+  EXPECT_EQ(log.size(), static_cast<std::size_t>(plain.epochs + 2));
+  for (const LoggedSolve& solve : log) {
+    EXPECT_EQ(solve.thread, std::this_thread::get_id());
   }
+}
+
+// Under batteries each attempt's context carries the epoch's per-machine
+// charges, one per present machine, but only to solvers that declare the
+// availabilityAware capability.
+TEST(AttemptChain, EpochHintsReachOnlyAwareSolvers) {
+  registerTestSolvers();
+  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
+  auto options = baseOptions();
+  options.availability.enabled = true;
+  options.availability.batteryCapacityJoules = 20.0;
+  options.availability.rechargeWatts = 5.0;
+  options.availability.departMtbfSeconds = 2.0;
+  options.availability.seed = 3;
+  takeLog();
+  const auto aware = sim::runServing(machines, "test-log-edf3-aware", options);
+  std::vector<LoggedSolve> log = takeLog();
+  ASSERT_EQ(log.size(),
+            static_cast<std::size_t>(aware.epochs - aware.noMachineEpochs));
+  ASSERT_GT(aware.machineDepartures, 0);
+  for (const LoggedSolve& solve : log) {
+    EXPECT_EQ(solve.caps, solve.machines);
+  }
+  const auto unaware = sim::runServing(machines, "test-log-edf3", options);
+  log = takeLog();
+  ASSERT_EQ(log.size(),
+            static_cast<std::size_t>(unaware.epochs - unaware.noMachineEpochs));
+  for (const LoggedSolve& solve : log) EXPECT_EQ(solve.caps, -1);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ namespace dsct {
 namespace {
 
 using testing::expectSameServing;
-using testing::withoutAsyncEpochs;
 
 sim::ServingOptions referenceOptions() {
   sim::ServingOptions o;
@@ -112,17 +111,6 @@ TEST(ServingGolden, ExplicitArrivalsBacklogBitIdentical) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   const auto s = sim::runServing(machines, "approx", explicitArrivalsOptions());
   expectExplicitArrivalsGolden(s);
-}
-
-TEST(ServingGolden, ExplicitArrivalsBacklogAsyncBitIdentical) {
-  // The same pin with every primary solve on the async pipeline thread
-  // (backlog carry-over keeps execution out of the overlap window).
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  auto options = explicitArrivalsOptions();
-  options.asyncServing = true;
-  const auto s = sim::runServing(machines, "approx", options);
-  expectExplicitArrivalsGolden(s);
-  EXPECT_EQ(s.asyncEpochs, s.epochs);
 }
 
 TEST(ServingGolden, AvailabilityDefaultsPreserveGoldenPin) {
@@ -290,21 +278,6 @@ TEST(FaultServing, CrashShockAndInjectedFailureRecover) {
     return o;
   }());
   EXPECT_LT(s.meanAccuracy, clean.meanAccuracy);
-}
-
-TEST(FaultServing, AsyncMatchesSyncAndSkipsInjectedEpochs) {
-  // Faults feed execution back into later epochs, so async serving runs
-  // each primary solve on the pipeline thread without the overlap. The
-  // injected-failure epoch 3 submits no solve, and epochs without a live
-  // machine solve nothing.
-  const auto machines = machinesFromCatalog({"T4", "V100", "P100"});
-  auto options = faultyOptions();
-  const auto sync = sim::runServing(machines, "approx", options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, "approx", options);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  ASSERT_GT(async.noMachineEpochs, 0);
-  EXPECT_EQ(async.asyncEpochs, async.epochs - async.noMachineEpochs - 1);
 }
 
 TEST(FaultServing, ZeroRateFaultTraceMatchesDisabled) {
@@ -478,26 +451,6 @@ TEST(FallbackChain, TwoEntryChainIncidentOrderPinned) {
     EXPECT_EQ(atEpoch[1].value, 1.0);  // first fallback attempt
     EXPECT_EQ(atEpoch[2].kind, sim::IncidentKind::kFallbackEngaged);
   }
-}
-
-TEST(FallbackChain, DeepChainAsyncMatchesSync) {
-  // Only the primary runs on the async pipeline thread; the chain's
-  // fallback attempts run inline, so a chain walked to depth 2 serves and
-  // logs exactly what the synchronous run does.
-  const auto machines = machinesFromCatalog({"T4", "V100"});
-  const std::vector<long long> injected = {2, 5};
-  auto options = referenceOptions();
-  options.faults.enabled = true;
-  options.faults.injectPolicyFailureEpochs = injected;
-  options.faults.injectFailureDepth = 2;
-  options.fallbackChain = {"edf", "edf3"};
-  const auto sync = sim::runServing(machines, std::string("approx"), options);
-  options.asyncServing = true;
-  const auto async = sim::runServing(machines, std::string("approx"), options);
-  expectSameServing(sync, withoutAsyncEpochs(async));
-  EXPECT_EQ(async.policyFailures, 2 * static_cast<int>(injected.size()));
-  EXPECT_EQ(async.asyncEpochs,
-            async.epochs - static_cast<int>(injected.size()));
 }
 
 TEST(FallbackChain, ExhaustedChainServesEmptyEpoch) {

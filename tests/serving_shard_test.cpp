@@ -13,7 +13,6 @@ namespace dsct {
 namespace {
 
 using testing::expectSameServing;
-using testing::withoutAsyncEpochs;
 
 sim::ServingOptions baseOptions() {
   sim::ServingOptions options;
@@ -76,26 +75,6 @@ TEST(ServingShard, ShardedRunIsReplayable) {
   expectSameServing(a, b);
 }
 
-TEST(ServingShard, AsyncShardedRunMatchesSync) {
-  // The sharded primary runs on the async pipeline thread like any other
-  // solver, with the execution overlap (backlog off) and without it
-  // (backlog on): the run matches the synchronous one field for field.
-  for (const bool backlog : {false, true}) {
-    SCOPED_TRACE(backlog ? "backlog" : "overlap");
-    sim::ServingOptions options = baseOptions();
-    options.shards = 3;
-    options.carryBacklog = backlog;
-    const sim::ServingStats sync =
-        sim::runServing(fleet(), std::string("approx"), options);
-    options.asyncServing = true;
-    const sim::ServingStats async =
-        sim::runServing(fleet(), std::string("approx"), options);
-    expectSameServing(sync, withoutAsyncEpochs(async));
-    EXPECT_EQ(async.asyncEpochs, async.epochs);
-    EXPECT_EQ(async.shardedEpochs, async.epochs);
-  }
-}
-
 TEST(ServingShard, FallbacksStayUnsharded) {
   // A sharded primary with a fallback chain: fallback attempts resolve the
   // raw registry solvers, so a fallback solve must not be double-counted in
@@ -147,21 +126,49 @@ serving {
   EXPECT_GT(stats.shardedEpochs, 0);
 }
 
+/// A one-class scenario whose serving block sets `shards:` to `value`, on
+/// line 10.
+std::string shardsScenario(const std::string& value) {
+  return "machine class {\n"
+         "  name: pool\n"
+         "  gpus: T4, V100\n"
+         "}\n"
+         "task class {\n"
+         "  name: web\n"
+         "  arrival: poisson 5\n"
+         "}\n"
+         "serving {\n"
+         "  shards: " + value + "\n"
+         "  horizon: 2\n"
+         "}\n";
+}
+
 TEST(ServingShard, ScenarioRejectsMalformedShards) {
-  const char* text = R"(
-machine class {
-  name: pool
-  gpus: T4
+  // Past int range a cast would be undefined; 1e12 once served unsharded.
+  for (const char* value : {"-2", "1e12", "2147483648"}) {
+    SCOPED_TRACE(value);
+    try {
+      parseScenario(shardsScenario(value), "bad.dsct");
+      ADD_FAILURE() << "accepted shards: " << value;
+    } catch (const ScenarioError& e) {
+      EXPECT_EQ(e.line(), 10) << e.what();
+    }
+  }
 }
-task class {
-  name: web
-  arrival: poisson 5
-}
-serving {
-  shards: -2
-}
-)";
-  EXPECT_THROW(parseScenario(text, "bad.dsct"), ScenarioError);
+
+TEST(ServingShard, ScenarioShardCountAtTheCapServes) {
+  // The largest accepted count clamps to the fleet, as any count above the
+  // machine count does.
+  const Scenario capped = parseScenario(shardsScenario("1e9"), "cap.dsct");
+  EXPECT_EQ(capped.serving.shards, 1'000'000'000);
+  const Scenario fleetSized = parseScenario(shardsScenario("2"), "two.dsct");
+  const sim::ServingStats stats =
+      sim::runServing(materializeMachines(capped), capped.serving.policy,
+                      makeServingOptions(capped));
+  EXPECT_EQ(stats.shardedEpochs, stats.epochs);
+  expectSameServing(stats, sim::runServing(materializeMachines(fleetSized),
+                                           fleetSized.serving.policy,
+                                           makeServingOptions(fleetSized)));
 }
 
 TEST(ServingShard, ShardedAvailabilityRunStaysSafe) {

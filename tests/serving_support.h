@@ -9,8 +9,8 @@ namespace dsct::testing {
 
 /// Every ServingStats field of `a` and `b` must match exactly — doubles
 /// bit for bit, the incident log entry for entry. An A/B test zeroes, in
-/// both runs, only the fields its switch is meant to move: asyncEpochs for
-/// sync vs async.
+/// both runs, only the fields its switch is meant to move (the LP counters
+/// for warm starts on vs off).
 inline void expectSameServing(const sim::ServingStats& a,
                               const sim::ServingStats& b) {
   EXPECT_EQ(a.requests, b.requests);
@@ -50,12 +50,6 @@ inline void expectSameServing(const sim::ServingStats& a,
   EXPECT_EQ(a.lpWarmStartsUsed, b.lpWarmStartsUsed);
   EXPECT_EQ(a.lpWarmStartsRepaired, b.lpWarmStartsRepaired);
   EXPECT_EQ(a.lpWarmStartsRejected, b.lpWarmStartsRejected);
-}
-
-/// `s` without the counter that async serving moves.
-inline sim::ServingStats withoutAsyncEpochs(sim::ServingStats s) {
-  s.asyncEpochs = 0;
-  return s;
 }
 
 }  // namespace dsct::testing

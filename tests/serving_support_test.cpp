@@ -1,7 +1,6 @@
 // The exact serving comparison of tests/serving_support.h, checked on
 // hand-built stats: a one-count or one-ulp change in any compared field
-// fails exactly the expectation on that field, and the mask clears only the
-// counter its A/B switch moves.
+// fails exactly the expectation on that field.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@ namespace dsct {
 namespace {
 
 using testing::expectSameServing;
-using testing::withoutAsyncEpochs;
 
 /// Stats with every field set to a distinct non-zero value.
 sim::ServingStats populated() {
@@ -128,15 +126,6 @@ TEST(ExpectSameServing, FlagsEachFieldOnItsOwn) {
     perturb(b);
     EXPECT_NONFATAL_FAILURE(expectSameServing(a, b), "b." + field + "\n");
   }
-}
-
-TEST(ExpectSameServing, MasksClearOnlyTheirSwitchCounters) {
-  const sim::ServingStats s = populated();
-
-  sim::ServingStats sync = withoutAsyncEpochs(s);
-  EXPECT_EQ(sync.asyncEpochs, 0);
-  sync.asyncEpochs = s.asyncEpochs;
-  expectSameServing(s, sync);
 }
 
 }  // namespace

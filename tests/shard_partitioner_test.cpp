@@ -1,5 +1,5 @@
 // The deterministic cell partitioner (src/shard/partitioner.h): coverage,
-// clamping, balance, determinism, and affinity routing.
+// clamping, balance and determinism.
 #include "shard/partitioner.h"
 
 #include <algorithm>
@@ -105,35 +105,6 @@ TEST(ShardPartitioner, RelativeLoadBalancedAcrossCells) {
   // Least-loaded-first task routing keeps the spread tight; the bound is
   // loose (one large task can tilt a cell) but catches gross imbalance.
   EXPECT_LE(maxLoad, 3.0 * (minLoad + 1e-9) + 1.0);
-}
-
-TEST(ShardPartitioner, AffinityFollowedWhenBalanced) {
-  const Instance inst = testing::randomInstance(21, 24, 8);
-  const Partition base = makePartition(inst, 4);
-  // Prefer machine 0 for every task: tasks should land in machine 0's cell
-  // as long as the admission threshold allows, and never crash otherwise.
-  std::vector<int> affinity(static_cast<std::size_t>(inst.numTasks()), 0);
-  PartitionOptions options;
-  options.cells = 4;
-  options.taskAffinity = &affinity;
-  // Twice the default admission slack: generous enough that the preference
-  // visibly wins over load-only routing, bounded enough that a saturated
-  // home cell still sheds work.
-  options.balanceFactor = 2.0;
-  const Partition routed = partitionInstance(inst, options);
-  expectCoverage(inst, routed);
-  const int homeCell = routed.machineCell[0];
-  // Affinity must pull strictly more work (assigned fmax) into the
-  // preferred cell than load-only routing does. Task counts are the wrong
-  // metric: deadline order can funnel a few large tasks into the home cell
-  // and leave it with fewer, heavier tasks.
-  EXPECT_GT(routed.cellFmax[homeCell], base.cellFmax[homeCell]);
-  // A huge balance factor admits everything into the preferred cell.
-  options.balanceFactor = 1e9;
-  const Partition greedy = partitionInstance(inst, options);
-  for (int j = 0; j < inst.numTasks(); ++j) {
-    EXPECT_EQ(greedy.taskCell[j], greedy.machineCell[0]);
-  }
 }
 
 TEST(ShardPartitioner, DistinctSeedsStayValid) {

@@ -113,10 +113,7 @@ TEST(RenewableServing, MoreSunMoreAccuracy) {
   EXPECT_GT(brightStats.meanAccuracy, dimStats.meanAccuracy);
 }
 
-TEST(RenewableServing, AsyncMatchesSync) {
-  // The supply sets each epoch's budget before the primary solve is
-  // submitted, so async serving — with the execution overlap, and without
-  // it under backlog carry-over — serves exactly the synchronous run.
+TEST(RenewableServing, NoisySolarServesWithAndWithoutBacklog) {
   const auto machines = machinesFromCatalog({"T4", "V100"});
   sim::ServingOptions options;
   options.arrivalRatePerSecond = 40.0;
@@ -127,15 +124,9 @@ TEST(RenewableServing, AsyncMatchesSync) {
   const auto supply =
       sim::PowerTrace::solarDay(120.0, 4.0, 0.0, 1.0, 32, 0.2, rng);
   for (const bool backlog : {false, true}) {
-    SCOPED_TRACE(backlog ? "backlog" : "overlap");
+    SCOPED_TRACE(backlog ? "backlog" : "one-shot");
     options.carryBacklog = backlog;
-    options.asyncServing = false;
-    const auto sync = sim::runServing(machines, "approx", options, &supply);
-    options.asyncServing = true;
-    const auto async = sim::runServing(machines, "approx", options, &supply);
-    testing::expectSameServing(sync, testing::withoutAsyncEpochs(async));
-    EXPECT_EQ(async.asyncEpochs, async.epochs);
-    EXPECT_GT(sync.served, 0);
+    EXPECT_GT(sim::runServing(machines, "approx", options, &supply).served, 0);
   }
 }
 

@@ -329,21 +329,5 @@ TEST(WarmStart, ServingReplayBitIdenticalWarmOnVsOff) {
             off.lpWarmStartsUsed + off.lpWarmStartsRepaired);
 }
 
-TEST(WarmStart, AsyncServingCarriesTheSameBasis) {
-  // Async serving runs every mip-warm solve on the pipeline thread, in epoch
-  // order, so the cross-epoch slot hands each solve the same basis as in the
-  // synchronous run: identical service and identical LP work.
-  const std::vector<Machine> machines = {{1.0, 0.8, "a"}, {1.6, 0.5, "b"}};
-  sim::ServingOptions options = replayOptions(true);
-  const sim::ServingStats sync = sim::runServing(machines, "mip-warm", options);
-  options.asyncServing = true;
-  const sim::ServingStats async =
-      sim::runServing(machines, "mip-warm", options);
-  testing::expectSameServing(sync, testing::withoutAsyncEpochs(async));
-  EXPECT_EQ(async.asyncEpochs, async.epochs);
-  EXPECT_EQ(async.lpWarmStartsRejected, 1);
-  EXPECT_GT(async.lpPivots, 0);
-}
-
 }  // namespace
 }  // namespace dsct

@@ -64,6 +64,14 @@ if(NOT incidents_head MATCHES "epoch,kind,depth,payload")
   message(FATAL_ERROR "incident CSV misses its header:\n${incidents_head}")
 endif()
 
+# A battery or a departure rate turns the availability layer on without
+# --avail, as the scenario DSL's `battery:` and `departures:` keys do: five
+# joules per machine cap every epoch's budget.
+run_step(${CLI} serve --horizon 3 --battery 5 --recharge 0)
+if(NOT last_out MATCHES "battery +: 0 exhaustions, 6 budget-capped epochs")
+  message(FATAL_ERROR "serve --battery misses the battery line:\n${last_out}")
+endif()
+
 # Scenario DSL surface. `scenarios` must list the whole zoo without a parse
 # error; serve --scenario must replay bit-identically run-to-run; explicit
 # flags must override the file's values.
@@ -133,6 +141,8 @@ expect_flag_rejected(--horizon serve --horizon 2x)
 expect_flag_rejected(--shards serve --shards 2.9)
 expect_flag_rejected("unknown flag --load-facter for `serve`"
                      serve --gpus T4 --horizon 1 --load-facter 3)
+expect_flag_rejected("unknown flag --async for `serve`"
+                     serve --horizon 1 --async)
 expect_flag_rejected("unknown flag --trace for `simulate`"
                      simulate ${inst} ${sched} --trace)
 expect_flag_rejected("unknown flag --nonsense for `solvers`"
@@ -175,3 +185,10 @@ if(NOT "${out}${err}" MATCHES "cli_bad.dsct:2")
   message(FATAL_ERROR
           "malformed-scenario diagnostic misses file:line:\n${out}\n${err}")
 endif()
+# A cell count beyond int range is rejected, naming its line.
+file(WRITE ${WORKDIR}/cli_shards.dsct
+     "machine class {\n  name: pool\n  gpus: T4\n}\n"
+     "task class {\n  name: web\n  arrival: poisson 5\n}\n"
+     "serving {\n  shards: 1e12\n}\n")
+expect_flag_rejected("cli_shards.dsct:10"
+                     serve --scenario ${WORKDIR}/cli_shards.dsct)

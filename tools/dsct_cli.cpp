@@ -16,7 +16,7 @@
 //            [--faults] [--fault-seed N] [--mtbf S] [--mttr S]
 //            [--slow-mtbf S] [--slow-mean S] [--slow-factor F]
 //            [--shock-prob P] [--shock-factor F] [--max-retries N]
-//            [--epoch-time-limit S] [--async] [--incidents]
+//            [--epoch-time-limit S] [--incidents]
 //            [--avail] [--avail-seed N] [--depart-mtbf S] [--depart-mean S]
 //            [--battery J] [--battery-init F] [--recharge W]
 //            [--no-battery-cap] [--incidents-csv FILE]
@@ -28,9 +28,9 @@
 //
 // `serve --scenario FILE` loads a declarative scenario (DESIGN.md §16) and
 // materialises fleet and request trace from it; explicit flags override the
-// file's values (--seed, --horizon, --epoch, --budget, --policy, --fallback,
-// --backlog, --load-factor, and the availability knobs). `--gpus`/`--rate`
-// conflict with a scenario's own machine/task classes and are rejected.
+// file's values, exactly as they override the generator's defaults without
+// a scenario. `--gpus`/`--rate` conflict with a scenario's own machine/task
+// classes and are rejected.
 // `scenarios` lists every *.dsct file in DIR (default: the repo zoo).
 //
 // Exit code 0 on success (and, for `validate`, a feasible schedule);
@@ -137,7 +137,7 @@ int usage() {
       "           [--faults] [--fault-seed N] [--mtbf S] [--mttr S]\n"
       "           [--slow-mtbf S] [--slow-mean S] [--slow-factor F]\n"
       "           [--shock-prob P] [--shock-factor F] [--max-retries N]\n"
-      "           [--epoch-time-limit S] [--async] [--incidents]\n"
+      "           [--epoch-time-limit S] [--incidents]\n"
       "           [--avail] [--avail-seed N] [--depart-mtbf S]\n"
       "           [--depart-mean S] [--battery J] [--battery-init F]\n"
       "           [--recharge W] [--no-battery-cap] [--incidents-csv FILE]\n"
@@ -226,8 +226,8 @@ int cmdSolve(const Args& args) {
     return usage();
   }
   SolveContext context;
-  context.mip.timeLimitSeconds = args.getDouble("time-limit", 60.0);
-  context.lp.timeLimitSeconds = args.getDouble("time-limit", -1.0);
+  context.mipTimeLimitSeconds = args.getDouble("time-limit", 60.0);
+  context.lpTimeLimitSeconds = args.getDouble("time-limit", -1.0);
   const SolveOutcome outcome = solver->solve(inst, context);
   if (outcome.lpCounters.pivots > 0) {
     std::cout << "lp pivots      : " << outcome.lpCounters.pivots << " ("
@@ -384,90 +384,84 @@ int cmdServe(const Args& args) {
       return usage();
     }
     Scenario sc = loadScenarioFile(args.get("scenario", ""));
-    // Explicit flags override the file's values. Overrides are applied to
-    // the Scenario BEFORE materialisation so e.g. a clamped --horizon also
-    // shrinks the sampled arrival windows.
+    // Only the seed and the horizon feed the request trace, so they are
+    // applied to the Scenario BEFORE materialisation (a clamped --horizon
+    // also shrinks the sampled arrival windows); every other flag overrides
+    // the file's value below, like the generator's defaults.
     if (args.has("seed")) {
       sc.seed = static_cast<std::uint64_t>(args.getInt("seed", 0));
     }
     if (args.has("horizon")) {
       sc.serving.horizonSeconds = args.getDouble("horizon", 0.0);
     }
-    if (args.has("epoch")) {
-      sc.serving.epochSeconds = args.getDouble("epoch", 0.0);
-    }
-    if (args.has("budget")) {
-      sc.serving.energyBudgetPerEpoch = args.getDouble("budget", 0.0);
-    }
-    if (args.has("backlog")) sc.serving.carryBacklog = true;
-    if (args.has("load-factor")) {
-      sc.serving.admissionLoadFactor = args.getDouble("load-factor", 0.0);
-    }
-    if (args.has("fallback")) {
-      sc.serving.fallback = splitList(args.get("fallback", ""));
-    }
-    if (args.has("avail")) sc.serving.availabilityEnabled = true;
-    if (args.has("avail-seed")) {
-      sc.serving.availSeed =
-          static_cast<std::uint64_t>(args.getInt("avail-seed", 0));
-    }
-    if (args.has("depart-mtbf")) {
-      sc.serving.departMtbfSeconds = args.getDouble("depart-mtbf", 0.0);
-      sc.serving.availabilityEnabled = true;
-    }
-    if (args.has("depart-mean")) {
-      sc.serving.departMeanSeconds = args.getDouble("depart-mean", 1.0);
-    }
-    if (args.has("battery")) {
-      sc.serving.batteryCapacityJoules = args.getDouble("battery", 0.0);
-      sc.serving.availabilityEnabled = true;
-    }
-    if (args.has("battery-init")) {
-      sc.serving.batteryInitialFraction = args.getDouble("battery-init", 1.0);
-    }
-    if (args.has("recharge")) {
-      sc.serving.rechargeWatts = args.getDouble("recharge", 0.0);
-    }
-    if (args.has("shards")) sc.serving.shards = args.getInt("shards", 0);
-    if (args.has("shard-seed")) {
-      sc.serving.shardSeed =
-          static_cast<std::uint64_t>(args.getInt("shard-seed", 0));
-    }
-    policy = args.get("policy", sc.serving.policy);
+    policy = sc.serving.policy;
     machines = materializeMachines(sc);
     options = makeServingOptions(sc);
     scenarioName = sc.name;
   } else {
-    policy = args.get("policy", "approx");
+    policy = "approx";
     machines = machinesFromCatalog(splitList(args.get("gpus", "T4,V100")));
-    if (args.has("fallback")) {
-      options.fallbackChain = splitList(args.get("fallback", ""));
-    }
-    options.arrivalRatePerSecond = args.getDouble("rate", 18.0);
-    options.horizonSeconds = args.getDouble("horizon", 5.0);
-    options.epochSeconds = args.getDouble("epoch", 0.5);
-    options.energyBudgetPerEpoch = args.getDouble("budget", 40.0);
-    options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2024));
-    options.carryBacklog = args.has("backlog");
-    options.admissionLoadFactor = args.getDouble("load-factor", 0.0);
-    // Availability layer: departing/returning machines and battery-budgeted
-    // fleets (DESIGN.md §15).
-    options.availability.enabled = args.has("avail");
-    options.availability.seed =
-        static_cast<std::uint64_t>(args.getInt("avail-seed", 2025));
-    options.availability.departMtbfSeconds =
-        args.getDouble("depart-mtbf", 0.0);
-    options.availability.departMeanSeconds =
-        args.getDouble("depart-mean", 1.0);
-    options.availability.batteryCapacityJoules =
-        args.getDouble("battery", 0.0);
-    options.availability.batteryInitialFraction =
-        args.getDouble("battery-init", 1.0);
-    options.availability.rechargeWatts = args.getDouble("recharge", 0.0);
-    options.shards = args.getInt("shards", 0);
-    options.shardSeed =
-        static_cast<std::uint64_t>(args.getInt("shard-seed", 0));
+    options.arrivalRatePerSecond = 18.0;
+    options.horizonSeconds = 5.0;
+    options.epochSeconds = 0.5;
+    options.energyBudgetPerEpoch = 40.0;
+    options.seed = 2024;
   }
+
+  // Every flag, in both modes: a flag that is present overrides the value
+  // above. See ServingOptions for the semantics of each.
+  const auto setDouble = [&](const char* flag, double& field) {
+    if (args.has(flag)) field = args.getDouble(flag, field);
+  };
+  const auto setInt = [&](const char* flag, int& field) {
+    if (args.has(flag)) field = args.getInt(flag, field);
+  };
+  const auto setSeed = [&](const char* flag, std::uint64_t& field) {
+    if (args.has(flag)) {
+      field = static_cast<std::uint64_t>(args.getInt(flag, 0));
+    }
+  };
+  policy = args.get("policy", policy);
+  if (args.has("fallback")) {
+    options.fallbackChain = splitList(args.get("fallback", ""));
+  }
+  setDouble("rate", options.arrivalRatePerSecond);
+  setDouble("horizon", options.horizonSeconds);
+  setDouble("epoch", options.epochSeconds);
+  setDouble("budget", options.energyBudgetPerEpoch);
+  setSeed("seed", options.seed);
+  if (args.has("backlog")) options.carryBacklog = true;
+  setDouble("load-factor", options.admissionLoadFactor);
+  // Availability layer: departing/returning machines and battery-budgeted
+  // fleets (DESIGN.md §15). Departures and batteries turn it on, as the
+  // scenario DSL's `departures:` and `battery:` keys do.
+  sim::AvailabilityOptions& avail = options.availability;
+  if (args.has("avail") || args.has("depart-mtbf") || args.has("battery")) {
+    avail.enabled = true;
+  }
+  setSeed("avail-seed", avail.seed);
+  setDouble("depart-mtbf", avail.departMtbfSeconds);
+  setDouble("depart-mean", avail.departMeanSeconds);
+  setDouble("battery", avail.batteryCapacityJoules);
+  setDouble("battery-init", avail.batteryInitialFraction);
+  setDouble("recharge", avail.rechargeWatts);
+  if (args.has("no-battery-cap")) avail.capGlobalBudget = false;
+  setInt("shards", options.shards);
+  setSeed("shard-seed", options.shardSeed);
+  sim::FaultOptions& faults = options.faults;
+  if (args.has("faults")) faults.enabled = true;
+  setSeed("fault-seed", faults.seed);
+  setDouble("mtbf", faults.mtbfSeconds);
+  setDouble("mttr", faults.mttrSeconds);
+  setDouble("slow-mtbf", faults.slowdownMtbfSeconds);
+  setDouble("slow-mean", faults.slowdownMeanSeconds);
+  setDouble("slow-factor", faults.slowdownFactor);
+  setDouble("shock-prob", faults.budgetShockProbability);
+  setDouble("shock-factor", faults.budgetShockFactor);
+  setInt("max-retries", faults.maxRetries);
+  // Per-epoch solve budget (cooperative cancellation).
+  setDouble("epoch-time-limit", options.epochTimeLimitSeconds);
+  if (args.has("no-lp-warm")) options.lpWarmStarts = false;
 
   const Solver* primary = SolverRegistry::instance().find(policy);
   if (primary == nullptr || !primary->capabilities().integral) {
@@ -475,24 +469,6 @@ int cmdServe(const Args& args) {
               << "' — run `dsct_cli solvers` for the list\n";
     return usage();
   }
-
-  options.faults.enabled = args.has("faults");
-  options.faults.seed =
-      static_cast<std::uint64_t>(args.getInt("fault-seed", 2024));
-  options.faults.mtbfSeconds = args.getDouble("mtbf", 0.0);
-  options.faults.mttrSeconds = args.getDouble("mttr", 1.0);
-  options.faults.slowdownMtbfSeconds = args.getDouble("slow-mtbf", 0.0);
-  options.faults.slowdownMeanSeconds = args.getDouble("slow-mean", 1.0);
-  options.faults.slowdownFactor = args.getDouble("slow-factor", 0.5);
-  options.faults.budgetShockProbability = args.getDouble("shock-prob", 0.0);
-  options.faults.budgetShockFactor = args.getDouble("shock-factor", 1.0);
-  options.faults.maxRetries = args.getInt("max-retries", 2);
-  // Per-epoch solve budget (cooperative cancellation) and the async
-  // double-buffered pipeline; see ServingOptions for semantics.
-  options.epochTimeLimitSeconds = args.getDouble("epoch-time-limit", 0.0);
-  options.asyncServing = args.has("async");
-  options.availability.capGlobalBudget = !args.has("no-battery-cap");
-  options.lpWarmStarts = !args.has("no-lp-warm");
 
   const sim::ServingStats s = sim::runServing(machines, policy, options);
   if (!scenarioName.empty()) {
@@ -519,9 +495,8 @@ int cmdServe(const Args& args) {
               << "shocked epochs : " << s.budgetShockEpochs << " ("
               << s.noMachineEpochs << " with no machine alive)\n";
   }
-  if (options.epochTimeLimitSeconds > 0.0 || options.asyncServing) {
-    std::cout << "solve timeouts : " << s.policyTimeouts << '\n'
-              << "async epochs   : " << s.asyncEpochs << '\n';
+  if (options.epochTimeLimitSeconds > 0.0) {
+    std::cout << "solve timeouts : " << s.policyTimeouts << '\n';
   }
   if (options.availability.enabled) {
     std::cout << "departures     : " << s.machineDepartures
@@ -591,7 +566,7 @@ const Command kCommands[] = {
      {"scenario", "policy", "fallback", "gpus", "rate", "horizon", "epoch",
       "budget", "seed", "backlog", "load-factor", "faults", "fault-seed",
       "mtbf", "mttr", "slow-mtbf", "slow-mean", "slow-factor", "shock-prob",
-      "shock-factor", "max-retries", "epoch-time-limit", "async", "incidents",
+      "shock-factor", "max-retries", "epoch-time-limit", "incidents",
       "avail", "avail-seed", "depart-mtbf", "depart-mean", "battery",
       "battery-init", "recharge", "no-battery-cap", "incidents-csv",
       "no-lp-warm", "shards", "shard-seed"}},
