@@ -16,7 +16,9 @@ BaselineResult solveEdfLevels(const Instance& inst,
   std::vector<double> load(static_cast<std::size_t>(m), 0.0);
   std::vector<double> machineEnergy(static_cast<std::size_t>(m), 0.0);
   const std::vector<double>* caps = options.machineEnergyCaps;
-  DSCT_CHECK(caps == nullptr || static_cast<int>(caps->size()) == m);
+  DSCT_CHECK_MSG(caps == nullptr || caps->size() == static_cast<std::size_t>(m),
+                 "machineEnergyCaps has " << caps->size() << " entries for "
+                     << m << " machines");
   double energyUsed = 0.0;
 
   std::vector<int> machineOf(static_cast<std::size_t>(n), -1);

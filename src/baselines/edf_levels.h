@@ -24,7 +24,8 @@ struct EdfLevelsOptions {
   /// machines): a level only fits on machine r if r's accumulated energy
   /// stays within (*machineEnergyCaps)[r] — the availability layer's
   /// battery charge (DESIGN.md §15). Null means uncapped, and the result
-  /// is bit-identical to a build without this field.
+  /// is bit-identical to a build without this field; otherwise the vector
+  /// must hold one cap per machine.
   const std::vector<double>* machineEnergyCaps = nullptr;
 };
 

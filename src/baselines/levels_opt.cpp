@@ -15,6 +15,10 @@ std::vector<LevelMenu> buildLevelMenus(
     const std::vector<double>* machineEnergyCaps) {
   const int n = inst.numTasks();
   const int m = inst.numMachines();
+  DSCT_CHECK_MSG(machineEnergyCaps == nullptr ||
+                     machineEnergyCaps->size() == static_cast<std::size_t>(m),
+                 "machineEnergyCaps has " << machineEnergyCaps->size()
+                     << " entries for " << m << " machines");
   std::vector<LevelMenu> menus(static_cast<std::size_t>(n));
   // Tentative loads assume each task runs its largest feasible level; the
   // knapsack below only ever *shrinks* levels, so tasks start no later than
@@ -24,8 +28,7 @@ std::vector<LevelMenu> buildLevelMenus(
   std::vector<double> load(static_cast<std::size_t>(m), 0.0);
   std::vector<double> reserved(static_cast<std::size_t>(m), 0.0);
   const auto capOf = [&](int r) {
-    if (machineEnergyCaps == nullptr ||
-        static_cast<std::size_t>(r) >= machineEnergyCaps->size()) {
+    if (machineEnergyCaps == nullptr) {
       return std::numeric_limits<double>::infinity();
     }
     return (*machineEnergyCaps)[static_cast<std::size_t>(r)];

@@ -31,7 +31,8 @@ struct EdfLevelsOptOptions {
   /// machine r only if reserving its energy on top of the levels already
   /// reserved there stays within cap_r. The knapsack only ever shrinks the
   /// reserved levels, so the caps hold for the final schedule. Null is
-  /// bit-identical to a build without this field.
+  /// bit-identical to a build without this field; otherwise the vector must
+  /// hold one cap per machine.
   const std::vector<double>* machineEnergyCaps = nullptr;
 };
 

@@ -77,7 +77,9 @@ struct SolverCapabilities {
 
 /// Per-epoch availability hints for capability-gated solvers (DESIGN.md
 /// §15): machineEnergyCaps[r] is the stored energy (J) of the instance's
-/// machine r this epoch; empty means no per-machine limits.
+/// machine r this epoch; empty means no per-machine limits. A non-empty
+/// vector must hold one cap per machine: every solver that reads it, and
+/// the shard coordinator, rejects any other length.
 struct AvailabilityHints {
   std::vector<double> machineEnergyCaps;
 };

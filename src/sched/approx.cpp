@@ -73,8 +73,7 @@ void topUp(const Instance& inst, std::vector<int>& machineOf,
   // Remaining battery charge of machine r in seconds of load, or +inf when
   // uncapped. Growth on a drained machine is blocked like exhausted slack.
   const auto capSeconds = [&](int r) {
-    if (machineEnergyCaps == nullptr ||
-        static_cast<std::size_t>(r) >= machineEnergyCaps->size()) {
+    if (machineEnergyCaps == nullptr) {
       return std::numeric_limits<double>::infinity();
     }
     const double power = inst.machine(r).power();
@@ -140,6 +139,10 @@ IntegralSchedule roundFractional(
     const std::vector<double>* machineEnergyCaps) {
   const int n = inst.numTasks();
   const int m = inst.numMachines();
+  DSCT_CHECK_MSG(machineEnergyCaps == nullptr ||
+                     machineEnergyCaps->size() == static_cast<std::size_t>(m),
+                 "machineEnergyCaps has " << machineEnergyCaps->size()
+                     << " entries for " << m << " machines");
   constexpr double kTol = 1e-12;
 
   // Machine quotas: the fractional load of each machine. Keeping the rounded

@@ -13,8 +13,8 @@
 //
 // The oracle is deliberately optimistic (it ignores task interleaving):
 // feasibility is enforced by the full per-cell solves that run at the
-// resulting budgets, and the coordinator rescales the per-cell demands so
-// they always sum to at most B.
+// resulting budgets. The coordinator accepts only a price whose summed
+// demand is at most B, so the per-cell demands it hands out never exceed B.
 #pragma once
 
 #include <vector>

@@ -7,6 +7,7 @@
 #include "sched/naive_solution.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -28,7 +29,6 @@ EnergyProfile loadCeilings(const Instance& inst,
   if (machineEnergyCaps != nullptr) {
     for (int r = 0; r < inst.numMachines(); ++r) {
       const std::size_t i = static_cast<std::size_t>(r);
-      if (i >= machineEnergyCaps->size()) break;
       const double power = inst.machine(r).power();
       if (power <= 0.0) continue;
       ceilings[i] =
@@ -177,15 +177,7 @@ std::optional<PairMove> bestPairMove(const Instance& inst,
     return move;
   };
 
-  std::vector<PairMove> moves;
-  if (pool != nullptr && directions.size() > 1) {
-    moves = pool->parallelMap(directions.size(), probe);
-  } else {
-    moves.reserve(directions.size());
-    for (std::size_t k = 0; k < directions.size(); ++k) {
-      moves.push_back(probe(k));
-    }
-  }
+  std::vector<PairMove> moves = parallelMap(pool, directions.size(), probe);
 
   std::optional<PairMove> best;
   for (PairMove& move : moves) {
@@ -196,6 +188,11 @@ std::optional<PairMove> bestPairMove(const Instance& inst,
 }
 
 FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
+  DSCT_CHECK_MSG(options.machineEnergyCaps == nullptr ||
+                     options.machineEnergyCaps->size() ==
+                         static_cast<std::size_t>(inst.numMachines()),
+                 "machineEnergyCaps has " << options.machineEnergyCaps->size()
+                     << " entries for " << inst.numMachines() << " machines");
   const Stopwatch totalWatch;
   ProfileEvaluator evaluator(inst);
   ThreadPool* pool = options.pool;

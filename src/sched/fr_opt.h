@@ -86,7 +86,8 @@ struct FrOptOptions {
   /// never exceeds cap_r / P_r seconds, in the naive start, the expansion
   /// candidates, the pairwise transfers, the direction search, and
   /// RefineProfile's grow side. Null means uncapped and is bit-identical to
-  /// a build without this field.
+  /// a build without this field; otherwise the vector must hold one cap per
+  /// machine (any other length is a CheckError naming both sizes).
   const std::vector<double>* machineEnergyCaps = nullptr;
 };
 

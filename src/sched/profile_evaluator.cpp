@@ -88,15 +88,10 @@ std::vector<double> ProfileEvaluator::evaluateBatch(
 
   // The misses are pure evaluations, so the pool may compute them in any
   // interleaving.
-  std::vector<double> values;
-  if (pool != nullptr && pending.size() > 1) {
-    values = pool->parallelMap(pending.size(), [&](std::size_t k) {
-      return evaluate(profiles[pending[k]]);
-    });
-  } else {
-    values.reserve(pending.size());
-    for (const std::size_t i : pending) values.push_back(evaluate(profiles[i]));
-  }
+  const std::vector<double> values =
+      parallelMap(pool, pending.size(), [&](std::size_t k) {
+        return evaluate(profiles[pending[k]]);
+      });
 
   // Commit phase: single-threaded, in index order — the only place the memo
   // is written, so its contents are identical in both modes, and two misses

@@ -14,6 +14,9 @@ namespace dsct {
 namespace {
 
 constexpr double kPsiTol = 1e-12;
+/// Smallest energy (J) a transfer may move; a donor or grower below it is
+/// skipped.
+constexpr double kMinTransfer = 1e-10;
 
 /// Sort key of one pair while the plan is built: ψ, then the creation index
 /// as (global segment, machine).
@@ -188,6 +191,10 @@ RefineStats refineProfile(const Instance& inst, const RefinePlan& plan,
   RefineStats stats;
   const int n = inst.numTasks();
   const int m = inst.numMachines();
+  const std::vector<double>* caps = options.machineEnergyCaps;
+  DSCT_CHECK_MSG(caps == nullptr || caps->size() == static_cast<std::size_t>(m),
+                 "machineEnergyCaps has " << caps->size() << " entries for "
+                     << m << " machines");
   if (n == 0) return stats;
   const std::vector<RefinePair>& pairs = plan.pairs;
   const std::vector<std::size_t>& firstSeg = plan.firstSeg;
@@ -207,7 +214,6 @@ RefineStats refineProfile(const Instance& inst, const RefinePlan& plan,
 
   // Per-machine energy draw, tracked incrementally when caps are active so
   // growth never pushes a machine past its battery charge.
-  const std::vector<double>* caps = options.machineEnergyCaps;
   std::vector<double> machineEnergy;
   if (caps != nullptr) {
     machineEnergy = schedule.machineLoads();
@@ -241,7 +247,7 @@ RefineStats refineProfile(const Instance& inst, const RefinePlan& plan,
                             static_cast<std::size_t>(m);
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t q = position[i];
-      if (donorEnergy(pairs[q]) > options.tol) {
+      if (donorEnergy(pairs[q]) > kMinTransfer) {
         live.insert(q);
       } else {
         live.erase(q);
@@ -266,28 +272,27 @@ RefineStats refineProfile(const Instance& inst, const RefinePlan& plan,
       const double slack = slackEngine.slack(grow.task, grow.machine);
       double eAdd = std::min(growFlops / mr.efficiency,
                              std::max(0.0, slack) * mr.power());
-      if (caps != nullptr &&
-          static_cast<std::size_t>(grow.machine) < caps->size()) {
+      if (caps != nullptr) {
         eAdd = std::min(
             eAdd, std::max(0.0, (*caps)[static_cast<std::size_t>(
                                     grow.machine)] -
                                     machineEnergy[static_cast<std::size_t>(
                                         grow.machine)]));
       }
-      if (eAdd <= options.tol) continue;
+      if (eAdd <= kMinTransfer) continue;
 
       // Walk live donors from the cheapest ψ upward (paper line 9's reverse
       // iteration); stop once donors are no cheaper than the grower. Every
-      // live donor is a transfer, since eAdd > tol here.
+      // live donor is a transfer, since eAdd > kMinTransfer here.
       for (std::int64_t q = live.prevBelow(numPairs);
-           q > static_cast<std::int64_t>(p) && eAdd > options.tol;
+           q > static_cast<std::int64_t>(p) && eAdd > kMinTransfer;
            q = live.prevBelow(static_cast<std::uint32_t>(q))) {
         const RefinePair& shrink = pairs[static_cast<std::size_t>(q)];
         if (shrink.psi >= grow.psi - kPsiTol) break;
         const double tShrink = schedule.at(shrink.task, shrink.machine);
         const Machine& ms = inst.machine(shrink.machine);
         const double eTransfer = std::min(eAdd, donorEnergy(shrink));
-        DSCT_DCHECK(eTransfer > options.tol);
+        DSCT_DCHECK(eTransfer > kMinTransfer);
 
         schedule.add(grow.task, grow.machine, eTransfer / mr.power());
         flops[static_cast<std::size_t>(grow.task)] +=

@@ -25,7 +25,6 @@ struct RefineOptions {
   /// Upper bound on full passes over the pair list; each pass that performs
   /// at least one transfer is followed by another, so this is a safety net.
   int maxRounds = 64;
-  double tol = 1e-10;  ///< minimum transferred energy (J)
   /// Cooperative stop token, polled at round boundaries. The schedule stays
   /// valid on early exit (transfers are atomic); only optimality is lost.
   const CancelToken* cancel = nullptr;
@@ -34,7 +33,7 @@ struct RefineOptions {
   /// Growth on machine r is additionally bounded by cap_r minus its current
   /// energy draw; shrink moves only release energy, so a schedule that starts
   /// under its caps stays under them. Null is bit-identical to a build
-  /// without this field.
+  /// without this field; otherwise the vector must hold one cap per machine.
   const std::vector<double>* machineEnergyCaps = nullptr;
 };
 

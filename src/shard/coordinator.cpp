@@ -40,6 +40,13 @@ ShardCoordinator::ShardCoordinator(const Solver& inner, ShardOptions options)
 
 SolveOutcome ShardCoordinator::solve(const Instance& inst,
                                      const SolveContext& context) {
+  if (context.availability != nullptr) {
+    const std::size_t caps = context.availability->machineEnergyCaps.size();
+    DSCT_CHECK_MSG(
+        caps == 0 || caps == static_cast<std::size_t>(inst.numMachines()),
+        "machineEnergyCaps has " << caps << " entries for "
+                                 << inst.numMachines() << " machines");
+  }
   stats_ = ShardStats{};
   const int k = std::clamp(options_.cells, 1, std::max(1, inst.numMachines()));
   stats_.cells = k;
@@ -164,17 +171,16 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
   }
   stats_.finalPrice = lambda;
 
-  // --- per-cell budgets: demand shares, rescaled to fit B ---
+  // --- per-cell budgets: the demand shares at λ ---
+  // They sum to at most B: λ is 0 with Σ_c D_c(0) <= B, or the bracket's
+  // hi, which starts where the demand is 0 and only moves to a probe whose
+  // summed demand is <= B. The sum below re-adds the same values in the
+  // same order, so it is that summed demand (DESIGN.md §18).
   std::vector<double> cellBudget(cells.size(), 0.0);
   double assigned = 0.0;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     cellBudget[c] = curves[c].demandAt(lambda);
     assigned += cellBudget[c];
-  }
-  if (assigned > budget && assigned > 0.0) {
-    const double scale = budget / assigned;
-    for (double& b : cellBudget) b *= scale;
-    assigned = budget;
   }
   stats_.budgetAssigned = assigned;
 
@@ -193,9 +199,7 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
       cellHints[c].machineEnergyCaps.reserve(cells[c].machines.size());
       for (const int r : cells[c].machines) {
         cellHints[c].machineEnergyCaps.push_back(
-            static_cast<std::size_t>(r) < caps.size()
-                ? caps[static_cast<std::size_t>(r)]
-                : 0.0);
+            caps[static_cast<std::size_t>(r)]);
       }
     }
   }
@@ -216,18 +220,10 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
     cellContext.energyPrice = price;
     return inner_.solve(cellInstance(cells[c], cellB), cellContext);
   };
-  ThreadPool* pool = context.pool;
-  std::vector<SolveOutcome> outcomes;
-  if (pool != nullptr) {
-    outcomes = pool->parallelMap(cells.size(), [&](std::size_t c) {
-      return solveCell(c, cellBudget[c], lambda);
-    });
-  } else {
-    outcomes.reserve(cells.size());
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      outcomes.push_back(solveCell(c, cellBudget[c], lambda));
-    }
-  }
+  std::vector<SolveOutcome> outcomes =
+      parallelMap(context.pool, cells.size(), [&](std::size_t c) {
+        return solveCell(c, cellBudget[c], lambda);
+      });
 
   bool cancelled = false;
   double used = 0.0;
@@ -269,15 +265,8 @@ SolveOutcome ShardCoordinator::solve(const Instance& inst,
         const std::size_t c = bound[i];
         return solveCell(c, topBudget[c], -1.0);
       };
-      std::vector<SolveOutcome> topped;
-      if (pool != nullptr) {
-        topped = pool->parallelMap(bound.size(), resolveCell);
-      } else {
-        topped.reserve(bound.size());
-        for (std::size_t i = 0; i < bound.size(); ++i) {
-          topped.push_back(resolveCell(i));
-        }
-      }
+      std::vector<SolveOutcome> topped =
+          parallelMap(context.pool, bound.size(), resolveCell);
       for (std::size_t i = 0; i < bound.size(); ++i) {
         const std::size_t c = bound[i];
         if (topped[i].cancelled()) {

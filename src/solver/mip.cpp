@@ -12,6 +12,11 @@ namespace dsct::lp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Distance from the nearest integer below which a value counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// A node is pruned unless its parent's bound beats the incumbent by more
+/// than this (model direction).
+constexpr double kAbsGapTol = 1e-7;
 
 struct Node {
   std::vector<double> lower;
@@ -26,10 +31,9 @@ struct Node {
 };
 
 /// Index of the most fractional integer variable, or -1 if x is integral.
-int mostFractional(const Model& model, const std::vector<double>& x,
-                   double tol) {
+int mostFractional(const Model& model, const std::vector<double>& x) {
   int best = -1;
-  double bestDist = tol;
+  double bestDist = kIntegralityTol;
   for (int j = 0; j < model.numVariables(); ++j) {
     if (model.variable(j).type == VarType::kContinuous) continue;
     const double v = x[static_cast<std::size_t>(j)];
@@ -43,54 +47,6 @@ int mostFractional(const Model& model, const std::vector<double>& x,
     }
   }
   return best;
-}
-
-bool isIntegral(const Model& model, const std::vector<double>& x, double tol) {
-  return mostFractional(model, x, tol) < 0;
-}
-
-/// Rounding dive: starting from the given bounds, repeatedly fix the most
-/// fractional integer variable to its nearest integer and re-solve the LP.
-/// Returns an integral feasible point, or nullopt when a fixing renders the
-/// LP infeasible. At most (#integer variables) LP solves.
-std::optional<std::vector<double>> dive(const Model& model,
-                                        std::vector<double> lower,
-                                        std::vector<double> upper,
-                                        const MipOptions& options,
-                                        const TimeLimit& deadline,
-                                        LpCounters& counters) {
-  LpOptions lpOptions = options.lp;
-  if (lpOptions.cancel == nullptr) lpOptions.cancel = options.cancel;
-  // Each fixing tightens one bound, so the previous solve's basis is the
-  // natural warm start for the next.
-  LpBasis carried;
-  for (int guard = 0; guard <= model.numIntegerVariables(); ++guard) {
-    if (deadline.expired() || dsct::stopRequested(options.cancel)) {
-      return std::nullopt;
-    }
-    if (deadline.hasLimit()) {
-      // Grant exactly what is left. The old max(0.01, remaining()) clamp
-      // kept handing an expired deadline 10 ms per LP call; remaining() can
-      // only be <= 0 here in the race between the expiry check above and
-      // this read, in which case we stop instead of granting "unlimited"
-      // (LpOptions treats non-positive limits as no limit).
-      const double remaining = deadline.remaining();
-      if (remaining <= 0.0) return std::nullopt;
-      lpOptions.timeLimitSeconds = remaining;
-    }
-    lpOptions.warmBasis = carried.empty() ? options.lp.warmBasis : &carried;
-    const LpResult lp = solveLpWithBounds(model, lower, upper, lpOptions);
-    counters.add(lp.counters);
-    if (lp.status != SolveStatus::kOptimal) return std::nullopt;
-    carried = lp.basis;
-    const int var = mostFractional(model, lp.x, options.integralityTol);
-    if (var < 0) return lp.x;
-    const double value =
-        std::round(lp.x[static_cast<std::size_t>(var)]);
-    lower[static_cast<std::size_t>(var)] = value;
-    upper[static_cast<std::size_t>(var)] = value;
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -118,8 +74,7 @@ MipResult solveMip(const Model& model, const MipOptions& options) {
     const auto& x0 = *options.initialSolution;
     DSCT_CHECK_MSG(static_cast<int>(x0.size()) == model.numVariables(),
                    "initialSolution arity mismatch");
-    if (model.isFeasible(x0, 1e-6) &&
-        isIntegral(model, x0, options.integralityTol)) {
+    if (model.isFeasible(x0, 1e-6) && mostFractional(model, x0) < 0) {
       result.hasSolution = true;
       result.objective = model.objectiveValue(x0);
       result.x = x0;
@@ -139,18 +94,6 @@ MipResult solveMip(const Model& model, const MipOptions& options) {
     root.parentBound = maximize ? kInf : -kInf;
     root.depth = 0;
     stack.push_back(std::move(root));
-  }
-
-  // Optional root dive to seed an incumbent.
-  if (options.rootDive && !result.hasSolution) {
-    const auto dived = dive(model, stack.back().lower, stack.back().upper,
-                            options, deadline, result.lpCounters);
-    if (dived && model.isFeasible(*dived, 1e-6)) {
-      result.hasSolution = true;
-      result.objective = model.objectiveValue(*dived);
-      result.x = *dived;
-      incumbent = result.objective;
-    }
   }
 
   bool sawUnbounded = false;
@@ -181,14 +124,14 @@ MipResult solveMip(const Model& model, const MipOptions& options) {
 
     // Bound pruning on the inherited parent bound.
     if (result.hasSolution &&
-        !better(node.parentBound, incumbent + (maximize ? options.absGapTol
-                                                        : -options.absGapTol))) {
+        !better(node.parentBound,
+                incumbent + (maximize ? kAbsGapTol : -kAbsGapTol))) {
       continue;
     }
     if (deadline.hasLimit()) {
-      // Same fix as in dive(): grant the true remainder, and stop rather
-      // than floor an expired deadline up to 10 ms (or pass a non-positive
-      // value, which LpOptions reads as unlimited).
+      // Grant the true remainder, and stop rather than floor an expired
+      // deadline up to 10 ms (or pass a non-positive value, which LpOptions
+      // reads as unlimited).
       const double remaining = deadline.remaining();
       if (remaining <= 0.0) {
         stopped = true;
@@ -226,7 +169,7 @@ MipResult solveMip(const Model& model, const MipOptions& options) {
     const double bound = lp.objective;
     if (result.hasSolution && !better(bound, incumbent)) continue;
 
-    const int branchVar = mostFractional(model, lp.x, options.integralityTol);
+    const int branchVar = mostFractional(model, lp.x);
     if (branchVar < 0) {
       // Integral LP optimum: new incumbent.
       if (!result.hasSolution || better(bound, incumbent)) {

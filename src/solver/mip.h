@@ -3,7 +3,9 @@
 // Depth-first search with most-fractional branching, LP bounding, optional
 // warm incumbent (e.g. the approximation algorithm's solution as a MIP
 // start), and a wall-clock time limit — the same operating regime as the
-// paper's use of a commercial MIP solver with a 60 s cut-off (Fig. 4).
+// paper's use of a commercial MIP solver with a 60 s cut-off (Fig. 4). The
+// integrality (1e-6) and pruning-gap (1e-7) tolerances are constants in
+// mip.cpp.
 #pragma once
 
 #include <optional>
@@ -17,17 +19,10 @@ namespace dsct::lp {
 struct MipOptions {
   double timeLimitSeconds = -1.0;  ///< <= 0 means unlimited
   long maxNodes = -1;              ///< <= 0 means unlimited
-  double integralityTol = 1e-6;
-  double absGapTol = 1e-7;  ///< stop when bound − incumbent <= absGapTol
-  LpOptions lp;             ///< options for node LP solves
+  LpOptions lp;                    ///< options for node LP solves
   /// Optional feasible starting point (length = numVariables); pruning
   /// starts from its objective.
   std::optional<std::vector<double>> initialSolution;
-  /// Run a rounding dive at the root (repeatedly fix the most fractional
-  /// integer to its nearest value and re-solve) to seed an incumbent when
-  /// no initialSolution is given. Off by default to keep the solver
-  /// baseline of the reproduction unembellished.
-  bool rootDive = false;
   /// Cooperative stop token, polled at every node expansion and forwarded
   /// into the node LP solves. A stop reads as kTimeLimit with `cancelled`
   /// set; the incumbent found so far is returned.
@@ -46,7 +41,7 @@ struct MipResult {
   std::vector<double> x;
   long nodes = 0;
   double solveSeconds = 0.0;
-  /// Summed LP telemetry over every node (and root-dive) LP solve.
+  /// Summed LP telemetry over every node LP solve.
   LpCounters lpCounters;
   /// Basis of the root relaxation's optimal LP (empty when the root LP did
   /// not reach optimality). Feed back through MipOptions::lp.warmBasis to

@@ -89,7 +89,6 @@ struct LpCounters {
 struct LpOptions {
   double timeLimitSeconds = -1.0;  ///< <= 0 means unlimited
   long maxIterations = -1;         ///< <= 0 means automatic (scales with size)
-  double tol = 1e-9;               ///< reduced-cost / ratio tolerance
   /// Cooperative stop token, polled alongside the time limit every 64
   /// pivots (and between columns inside a refactorisation). A stop reads as
   /// kTimeLimit with `cancelled` set on the result.
@@ -100,9 +99,6 @@ struct LpOptions {
   /// all-logical start — a warm basis can never change the reported optimum,
   /// only the pivot path to it.
   const LpBasis* warmBasis = nullptr;
-  /// Refactorise the eta file every this many pivots; <= 0 means the
-  /// built-in default (64).
-  int refactorInterval = 0;
 };
 
 struct LpResult {

@@ -4,13 +4,10 @@
 
 namespace dsct {
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queueCapacity) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  capacity_ = queueCapacity == 0
-                  ? std::max<std::size_t>(256, 16 * threads)
-                  : std::max<std::size_t>(1, queueCapacity);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
@@ -23,9 +20,6 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   cv_.notify_all();
-  // Wake submitters blocked on a full queue so they fail fast on the
-  // stopped-pool check instead of sleeping forever.
-  spaceCv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -35,23 +29,11 @@ const ThreadPool*& ThreadPool::currentPool() {
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  DSCT_CHECK_MSG(!stopping_, "submit on stopped ThreadPool");
-  if (insideWorker()) {
-    if (queue_.size() >= capacity_) {
-      // A worker waiting for queue space deadlocks the pool (it is one of
-      // the threads the full queue is waiting on), so run inline instead.
-      lock.unlock();
-      task();
-      return;
-    }
-  } else {
-    spaceCv_.wait(lock,
-                  [this] { return stopping_ || queue_.size() < capacity_; });
-    DSCT_CHECK_MSG(!stopping_, "submit on stopped ThreadPool");
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    DSCT_CHECK_MSG(!stopping_, "parallelFor on stopped ThreadPool");
+    queue_.push(std::move(task));
   }
-  queue_.push(std::move(task));
-  lock.unlock();
   cv_.notify_one();
 }
 
@@ -66,7 +48,6 @@ void ThreadPool::workerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    spaceCv_.notify_one();
     task();
   }
 }

@@ -1,26 +1,27 @@
 // Fixed-size thread pool used to parallelise experiment replications and
 // the profile-evaluation fan-outs.
 //
-// Design notes (Core Guidelines CP.*): tasks are plain std::function<void()>
-// values moved into a mutex-protected, *bounded* queue; no shared mutable
-// state escapes to callers, and parallelMap derives independent outputs per
-// index so callers never need their own synchronisation.
+// Design notes (Core Guidelines CP.*): work fans out only as index groups
+// (parallelFor / parallelMap) whose tasks are plain std::function<void()>
+// values moved into a mutex-protected queue; no shared mutable state
+// escapes to callers, and parallelMap derives independent outputs per index
+// so callers never need their own synchronisation. The free parallelMap
+// below is the one fan-out for callers whose pool may be null.
 //
-// Group waits (parallelFor / parallelMap) are counter-based and
-// exception-safe: every task decrements the group counter even when it
-// throws, the throwing task's exception is captured into a
-// std::exception_ptr (the lowest-index one wins, deterministically), and the
-// waiter rethrows only after *all* tasks of the group have finished. A
-// throwing task therefore can neither hang the waiter on the counter nor
-// let still-running siblings outlive the caller's stack frame (they may
-// reference it by capture).
+// Group waits are counter-based and exception-safe: every task decrements
+// the group counter even when it throws, the throwing task's exception is
+// captured into a std::exception_ptr (the lowest-index one wins,
+// deterministically), and the waiter rethrows only after *all* tasks of the
+// group have finished. A throwing task therefore can neither hang the
+// waiter on the counter nor let still-running siblings outlive the caller's
+// stack frame (they may reference it by capture).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -34,30 +35,18 @@ namespace dsct {
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means hardware_concurrency (min 1).
-  /// `queueCapacity` bounds the pending-task queue (0 picks a default of
-  /// max(256, 16 × threads)). A full queue applies backpressure: non-worker
-  /// submitters block until a slot frees, while worker-submitted tasks run
-  /// inline — a worker blocked on queue space is exactly the thread the
-  /// queue needs to drain, so blocking it would deadlock the pool.
-  explicit ThreadPool(std::size_t threads = 0, std::size_t queueCapacity = 0);
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t threadCount() const { return workers_.size(); }
-  std::size_t queueCapacity() const { return capacity_; }
 
-  /// Enqueue a task; returns a future for its result (exceptions travel
-  /// through the future). Blocks while the queue is full (runs the task
-  /// inline instead when called from one of this pool's own workers).
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    enqueue([task] { (*task)(); });
-    return fut;
+  /// Groups this pool has handed to its workers so far. A group started
+  /// inside a worker runs inline and is not counted.
+  std::size_t groupsRun() const {
+    return groupsRun_.load(std::memory_order_relaxed);
   }
 
   /// True when the calling thread is one of this pool's workers. Blocking on
@@ -78,6 +67,7 @@ class ThreadPool {
       for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
+    groupsRun_.fetch_add(1, std::memory_order_relaxed);
     struct Group {
       std::mutex mutex;
       std::condition_variable done;
@@ -136,18 +126,30 @@ class ThreadPool {
   /// (thread-local; defined in thread_pool.cpp).
   static const ThreadPool*& currentPool();
 
-  /// Bounded blocking push (inline execution from workers on a full queue).
   void enqueue(std::function<void()> task);
 
   void workerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  std::size_t capacity_ = 0;
   std::mutex mutex_;
-  std::condition_variable cv_;       ///< queue became non-empty / stopping
-  std::condition_variable spaceCv_;  ///< queue gained a free slot
+  std::condition_variable cv_;  ///< queue became non-empty / stopping
   bool stopping_ = false;
+  std::atomic<std::size_t> groupsRun_{0};
 };
+
+/// fn(i) for i in [0, n), results in index order: on `pool` when one is
+/// given and n > 1, otherwise inline on the calling thread in index order,
+/// where an exception stops the loop (it is then the lowest index's). The
+/// order of the results never depends on which path ran.
+template <typename Fn>
+auto parallelMap(ThreadPool* pool, std::size_t n, Fn fn)
+    -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
+  if (pool != nullptr && n > 1) return pool->parallelMap(n, std::move(fn));
+  std::vector<std::invoke_result_t<Fn, std::size_t>> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
+  return out;
+}
 
 }  // namespace dsct

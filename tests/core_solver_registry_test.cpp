@@ -235,6 +235,27 @@ TEST(SolverRegistry, PooledSolvesMatchSerialBitwise) {
   }
 }
 
+TEST(SolverRegistry, ContextPoolRunsFrOptBatches) {
+  // Pooled and serial solves are bit-identical by design, so only the
+  // pool's own group count shows that SolveContext::pool reaches FR-OPT.
+  // This instance's solve runs the direction search, whose one-sided
+  // derivative probes are one evaluator batch.
+  const Instance inst = corpusInstance(kSeed, 2);
+  ASSERT_GE(inst.numMachines(), 2);
+  const SolverRegistry& registry = SolverRegistry::instance();
+  ASSERT_GT(registry.resolve("fr-opt")
+                .solve(inst, SolveContext{})
+                .counters.directionLpSolves,
+            0);
+  for (const std::string name : {"fr-opt", "approx"}) {
+    ThreadPool pool(2);
+    SolveContext context;
+    context.pool = &pool;
+    registry.resolve(name).solve(inst, context);
+    EXPECT_GT(pool.groupsRun(), 0u) << name;
+  }
+}
+
 TEST(SolverRegistry, AvailabilityCapsReachFrOpt) {
   // The registry hands SolveContext::availability to FR-OPT as
   // FrOptOptions::machineEnergyCaps: through the registry and directly,

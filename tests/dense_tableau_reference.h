@@ -1,7 +1,6 @@
 // Test-only reference LP engine: the original dense two-phase tableau,
 // kept verbatim as the oracle that tests/solver_lp_differential_test.cpp
-// compares the sparse revised simplex (src/solver/revised_simplex.cpp)
-// against. The library solves every LP with the revised engine; this copy
+// compares the sparse revised simplex (src/solver/simplex.cpp) against. The library solves every LP with the revised engine; this copy
 // has no caller outside the tests. It ignores warm bases and fills no
 // LpCounters.
 #pragma once
@@ -20,6 +19,8 @@
 namespace dsct::lp::reference {
 
 constexpr double kFeasTol = 1e-7;
+/// Reduced-cost tolerance of pricing (the revised engine's kPricingTol).
+constexpr double kPricingTol = 1e-9;
 
 /// Mapping of one model variable into the non-negative tilde space:
 /// x = shift + Σ sign_c · x̃_c over the variable's columns.
@@ -107,7 +108,7 @@ inline PhaseOutcome runSimplex(Tableau& t, const std::vector<char>& allowed,
   PhaseOutcome out;
   const int cols = t.cols();
   const int rows = t.rows();
-  const double tol = options.tol;
+  const double tol = kPricingTol;
   for (;;) {
     if (out.iterations >= maxIterations) {
       out.status = SolveStatus::kIterationLimit;

@@ -38,6 +38,9 @@ struct Pair {
 };
 
 constexpr double kPsiTol = 1e-12;
+/// Smallest energy (J) a transfer may move: the value of refine_profile.cpp's
+/// file-local kMinTransfer.
+constexpr double kMinTransfer = 1e-10;
 
 }  // namespace linear_scan_detail
 
@@ -78,6 +81,7 @@ template <typename Slacks = SlackEngine>
 RefineStats refineProfileLinearScan(const Instance& inst,
                                     FractionalSchedule& schedule,
                                     const RefineOptions& options = {}) {
+  using linear_scan_detail::kMinTransfer;
   using linear_scan_detail::kPsiTol;
   using linear_scan_detail::Pair;
   RefineStats stats;
@@ -147,11 +151,11 @@ RefineStats refineProfileLinearScan(const Instance& inst,
                                     machineEnergy[static_cast<std::size_t>(
                                         grow.machine)]));
       }
-      if (eAdd <= options.tol) continue;
+      if (eAdd <= kMinTransfer) continue;
 
       // Scan donors from the cheapest ψ upward (paper line 9's reverse
       // iteration); stop once donors are no cheaper than the grower.
-      for (std::size_t q = pairs.size(); q-- > p + 1 && eAdd > options.tol;) {
+      for (std::size_t q = pairs.size(); q-- > p + 1 && eAdd > kMinTransfer;) {
         const Pair& shrink = pairs[q];
         if (shrink.psi >= grow.psi - kPsiTol) break;
         const double tShrink = schedule.at(shrink.task, shrink.machine);
@@ -164,7 +168,7 @@ RefineStats refineProfileLinearScan(const Instance& inst,
         const double eSub =
             std::min(usedInSeg / ms.efficiency, tShrink * ms.power());
         const double eTransfer = std::min(eAdd, eSub);
-        if (eTransfer <= options.tol) continue;
+        if (eTransfer <= kMinTransfer) continue;
 
         schedule.add(grow.task, grow.machine, eTransfer / mr.power());
         flops[static_cast<std::size_t>(grow.task)] +=

@@ -266,9 +266,8 @@ TEST(ShardCoordinator, RespectsAvailabilityCapSlices) {
 
 TEST(ShardCoordinator, FirstPassCellBudgetsWithinDemandAtThePrice) {
   // Why a priced cell solve needs no budget cap of its own: the first pass
-  // grants each cell at most its demand at the accepted λ (rescaled down
-  // when the demands overshoot B), and a cell's demand curve reads its tasks
-  // and machines, never its budget.
+  // grants each cell its demand at the accepted λ, and a cell's demand
+  // curve reads its tasks and machines, never its budget.
   CellRecorder recorder;
   long long priced = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -289,6 +288,36 @@ TEST(ShardCoordinator, FirstPassCellBudgetsWithinDemandAtThePrice) {
     }
   }
   EXPECT_GT(priced, 0);
+}
+
+TEST(ShardCoordinator, FirstPassCellBudgetsSumToAtMostTheBudgetExactly) {
+  // The accepted λ never has a summed demand above B. So the cell budgets,
+  // added in cell order as the coordinator adds them, are at most B with
+  // no tolerance and equal budgetAssigned bit for bit. Cells without tasks
+  // are not solved; their demand is 0 and adds nothing.
+  CellRecorder recorder;
+  int pricedAboveZero = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (int caseIdx = 0; caseIdx < 10; ++caseIdx) {
+      const Instance inst = testing::corpusInstance(seed, caseIdx);
+      if (inst.numMachines() < 2) continue;
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " case=" + std::to_string(caseIdx));
+      ShardOptions options;
+      options.cells = 2 + caseIdx % 3;
+      ShardCoordinator coordinator(recorder.solver(), options);
+      coordinator.solve(inst, SolveContext{});
+      double sum = 0.0;
+      for (const CellCall& call : recorder.take()) {
+        if (call.price >= 0.0) sum += call.budget;
+      }
+      EXPECT_LE(sum, inst.energyBudget());
+      EXPECT_EQ(sum, coordinator.lastStats().budgetAssigned);
+      if (coordinator.lastStats().finalPrice > 0.0) ++pricedAboveZero;
+    }
+  }
+  // The price loop ran, rather than λ = 0 funding everything, somewhere.
+  EXPECT_GT(pricedAboveZero, 0);
 }
 
 TEST(ShardCoordinator, CellSolvesCarryTheAcceptedPriceOrNone) {

@@ -1,15 +1,19 @@
 // Per-machine energy caps (AvailabilityHints::machineEnergyCaps) across the
 // availability-aware solver set: approx, fr-opt, levels-opt, and edf3 must
 // keep every machine's draw within its cap; the unaware edf baseline is the
-// differential contrast that shows the caps are actually binding.
+// differential contrast that shows the caps are actually binding. A cap
+// vector of any length but the machine count is rejected.
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/solver_registry.h"
+#include "shard/coordinator.h"
 #include "tests/test_support.h"
+#include "util/check.h"
 
 namespace dsct {
 namespace {
@@ -134,6 +138,57 @@ TEST(SolverEnergyCaps, CapsOnlyReduceTotalEnergy) {
     }
   }
 }
+
+/// An aware registry solver by name, or "sharded-approx": the registry's
+/// approx behind a two-cell ShardedSolver.
+class SolverEnergyCapsLength : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SolverEnergyCapsLength, RejectsShortAndLongCapVectors) {
+  const Instance inst = testing::corpusInstance(1, 3);
+  const std::size_t m = static_cast<std::size_t>(inst.numMachines());
+  ASSERT_GE(m, 2u);
+  const SolverRegistry& registry = SolverRegistry::instance();
+  std::unique_ptr<shard::ShardedSolver> sharded;
+  const Solver* solver = nullptr;
+  if (GetParam() == "sharded-approx") {
+    shard::ShardOptions options;
+    options.cells = 2;
+    sharded = std::make_unique<shard::ShardedSolver>(registry.resolve("approx"),
+                                                     options);
+    solver = sharded.get();
+  } else {
+    solver = &registry.resolve(GetParam());
+  }
+  ASSERT_TRUE(solver->capabilities().availabilityAware);
+  for (const std::size_t length : {m - 1, m + 1}) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    AvailabilityHints hints;
+    hints.machineEnergyCaps.assign(length, 1e9);
+    SolveContext context;
+    context.availability = &hints;
+    try {
+      solver->solve(inst, context);
+      ADD_FAILURE() << "a cap vector of the wrong length was accepted";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(length) + " entries"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(m) + " machines"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SolverEnergyCaps, SolverEnergyCapsLength,
+    ::testing::Values("approx", "fr-opt", "edf3", "levels-opt",
+                      "sharded-approx"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace dsct

@@ -79,11 +79,7 @@ TEST(SplitMix, DerivedSeedsDiffer) {
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
+  pool.parallelFor(100, [&counter](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -131,8 +127,11 @@ TEST(ThreadPool, InsideWorkerDistinguishesPools) {
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  EXPECT_THROW(pool.parallelMap(4,
+                                [](std::size_t) -> int {
+                                  throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {

@@ -1,15 +1,12 @@
-// Property and regression tests for the bounded, exception-propagating
-// ThreadPool (util/thread_pool.h).
+// Property and regression tests for the exception-propagating ThreadPool
+// and the parallelMap fan-out beside it (util/thread_pool.h).
 //
 // The pool's contract under stress: every task runs exactly once; group
 // waits (parallelFor / parallelMap) terminate even when tasks throw, and
 // rethrow the lowest-index exception after the whole group has finished;
-// a full queue blocks outside submitters (backpressure) but runs
-// worker-submitted tasks inline instead of deadlocking. The randomized
-// sequences are seeded, so a failure replays deterministically.
+// a group started inside a worker runs inline instead of deadlocking. The
+// randomized sequences are seeded, so a failure replays deterministically.
 #include <atomic>
-#include <chrono>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,7 +22,7 @@ namespace dsct {
 namespace {
 
 TEST(ThreadPoolProperty, RandomizedSubmitWaitRunsEveryTaskExactlyOnce) {
-  // Seeded random mixes of submit / parallelFor / re-entrant nested groups.
+  // Seeded random mixes of parallelFor groups and re-entrant nested groups.
   // Each task owns one slot of `runs`, so "exactly once" is checkable, and
   // the whole sequence must finish inside a generous wall-clock bound (a
   // deadlock would hang it forever).
@@ -33,20 +30,13 @@ TEST(ThreadPoolProperty, RandomizedSubmitWaitRunsEveryTaskExactlyOnce) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     const Stopwatch watch;
-    ThreadPool pool(static_cast<std::size_t>(rng.uniformInt(1, 12)),
-                    static_cast<std::size_t>(rng.uniformInt(1, 32)));
+    ThreadPool pool(static_cast<std::size_t>(rng.uniformInt(1, 12)));
     constexpr int kSlots = 1500;
     std::vector<std::atomic<int>> runs(kSlots);
-    std::vector<std::future<void>> futures;
     int next = 0;
     while (next < kSlots) {
-      switch (rng.uniformInt(0, 2)) {
-        case 0: {  // plain submit, waited on at the end
-          const int i = next++;
-          futures.push_back(pool.submit([&runs, i] { ++runs[i]; }));
-          break;
-        }
-        case 1: {  // group wait
+      switch (rng.uniformInt(0, 1)) {
+        case 0: {  // group wait
           const int count = std::min(kSlots - next, rng.uniformInt(1, 64));
           const int base = next;
           next += count;
@@ -74,7 +64,6 @@ TEST(ThreadPoolProperty, RandomizedSubmitWaitRunsEveryTaskExactlyOnce) {
         }
       }
     }
-    for (auto& f : futures) f.get();
     for (int i = 0; i < kSlots; ++i) {
       ASSERT_EQ(runs[i].load(), 1) << "slot " << i;
     }
@@ -140,55 +129,10 @@ TEST(ThreadPoolProperty, LowestIndexExceptionWinsDeterministically) {
   }
 }
 
-TEST(ThreadPoolProperty, BoundedQueueAppliesBackpressureWithoutDeadlock) {
-  // Capacity far below the task count: submit must block, resume as workers
-  // drain, and lose nothing.
-  ThreadPool pool(2, 2);
-  EXPECT_EQ(pool.queueCapacity(), 2u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(256);
-  for (int i = 0; i < 256; ++i) {
-    futures.push_back(pool.submit([&counter] {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-      ++counter;
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 256);
-}
-
-TEST(ThreadPoolProperty, WorkerSubmitOnFullQueueRunsInline) {
-  // One worker, one queue slot. The outer task holds the worker while the
-  // coordinator parks a blocker task in the only slot; the outer task's own
-  // submit then finds the queue full and must run inline (blocking there
-  // would deadlock: this worker is the thread the queue is waiting on).
-  ThreadPool pool(1, 1);
-  std::atomic<bool> ready{false};
-  std::atomic<bool> innerRan{false};
-  auto outer = pool.submit([&pool, &ready, &innerRan] {
-    while (!ready.load()) std::this_thread::yield();
-    auto inner = pool.submit([&pool, &innerRan] {
-      innerRan = true;
-      return pool.insideWorker();
-    });
-    // Ran inline: the future is ready before anything else could drain the
-    // queue (the only worker is right here).
-    EXPECT_EQ(inner.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_TRUE(inner.get());
-  });
-  auto blocker = pool.submit([] {});  // occupies the single queue slot
-  ready = true;
-  outer.get();
-  blocker.get();
-  EXPECT_TRUE(innerRan.load());
-}
-
 TEST(ThreadPoolProperty, ParallelMapStillExactAfterExceptionRounds) {
   // Interleave throwing and clean rounds on one pool: results of the clean
   // rounds stay exact and ordered.
-  ThreadPool pool(3, 4);
+  ThreadPool pool(3);
   for (int round = 0; round < 10; ++round) {
     if (round % 2 == 1) {
       EXPECT_THROW(pool.parallelFor(20,
@@ -205,6 +149,86 @@ TEST(ThreadPoolProperty, ParallelMapStillExactAfterExceptionRounds) {
       EXPECT_EQ(out[i], 100 * round + static_cast<int>(i));
     }
   }
+}
+
+TEST(ThreadPoolProperty, HugeGroupFromOutsideCompletesInIndexOrder) {
+  // 100,000 indices from a non-worker thread, far more than the workers
+  // can drain while the caller queues them: the queue takes the whole
+  // group, runs every index once and returns the results in index order.
+  ThreadPool pool(2);
+  constexpr std::size_t kIndices = 100000;
+  ASSERT_FALSE(pool.insideWorker());
+  std::vector<std::atomic<int>> runs(kIndices);
+  const std::vector<std::size_t> out =
+      pool.parallelMap(kIndices, [&runs](std::size_t i) {
+        ++runs[i];
+        return 3 * i + 1;
+      });
+  ASSERT_EQ(out.size(), kIndices);
+  for (std::size_t i = 0; i < kIndices; ++i) {
+    ASSERT_EQ(out[i], 3 * i + 1) << "index " << i;
+    ASSERT_EQ(runs[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(pool.groupsRun(), 1u);
+}
+
+TEST(ThreadPoolParallelMap, NullPoolRunsInlineInIndexOrder) {
+  // Without a pool the helper is a plain loop on the calling thread: the
+  // indices run in order, and an exception stops it, so the one rethrown is
+  // the lowest throwing index's.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> visited;
+  const std::vector<int> out =
+      parallelMap(nullptr, 6, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        visited.push_back(i);
+        return 10 * static_cast<int>(i);
+      });
+  EXPECT_EQ(out, (std::vector<int>{0, 10, 20, 30, 40, 50}));
+  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+
+  visited.clear();
+  try {
+    parallelMap(nullptr, 8, [&](std::size_t i) -> int {
+      visited.push_back(i);
+      if (i == 3 || i == 5) throw std::runtime_error("e" + std::to_string(i));
+      return 0;
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "e3");
+  }
+  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPoolParallelMap, PoolRunsOnlyGroupsOfMoreThanOneIndex) {
+  // With a pool, a group of two or more indices goes to the workers and
+  // is counted; a single index runs inline on the caller, uncounted. The
+  // results are index-ordered either way.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<int> single = parallelMap(&pool, 1, [&](std::size_t) {
+    return std::this_thread::get_id() == caller ? 1 : 0;
+  });
+  EXPECT_EQ(single, std::vector<int>{1});
+  EXPECT_EQ(pool.groupsRun(), 0u);
+  EXPECT_TRUE(parallelMap(&pool, 0, [](std::size_t) { return 1; }).empty());
+  EXPECT_EQ(pool.groupsRun(), 0u);
+
+  // int, not bool: workers write neighbouring slots concurrently, which a
+  // bit-packed std::vector<bool> cannot take.
+  const std::vector<int> onWorkers = parallelMap(
+      &pool, 16, [&](std::size_t) { return pool.insideWorker() ? 1 : 0; });
+  EXPECT_EQ(onWorkers, std::vector<int>(16, 1));
+  EXPECT_EQ(pool.groupsRun(), 1u);
+
+  // A group started inside a worker runs inline there and is not counted.
+  pool.parallelFor(4, [&](std::size_t) {
+    const std::vector<int> inner =
+        parallelMap(&pool, 8, [](std::size_t k) { return static_cast<int>(k); });
+    EXPECT_EQ(inner.back(), 7);
+  });
+  EXPECT_EQ(pool.groupsRun(), 2u);
 }
 
 }  // namespace
