@@ -13,7 +13,6 @@
 #include "sched/refine_profile.h"
 #include "sched/single_machine.h"
 #include "solver/simplex.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace dsct {
@@ -38,9 +37,9 @@ void BM_SingleMachine(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleMachine)->Range(16, 1024)->Complexity();
 
-// One ProfileEvaluator::evaluate (temporary deadlines, Algorithm 1, Σ a_j)
-// at the naive profile, the call the pair and direction searches repeat
-// thousands of times per solve. At β = 0.005 the budget binds, so Algorithm 1
+// One ProfileEvaluator::evaluateWithCut (temporary deadlines, Algorithm 1,
+// Σ a_j and the supergradient) at the naive profile: one cut of FR-OPT's
+// profile search. At β = 0.005 the budget binds, so Algorithm 1
 // saturates the machine and stops early; BM_SingleMachine is deadline-bound
 // and never does. The counters give the segment count and how many of them
 // one evaluation scans.
@@ -54,7 +53,7 @@ void BM_ProfileEvaluate(benchmark::State& state) {
   const EnergyProfile profile = naiveProfile(inst);
   const ProfileEvaluator evaluator(inst);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(profile));
+    benchmark::DoNotOptimize(evaluator.evaluateWithCut(profile));
   }
   std::vector<SegmentJob> segments = makeSegmentJobs(inst.tasks());
   sortSegmentJobs(segments);
@@ -75,12 +74,11 @@ void BM_NaiveSolution(benchmark::State& state) {
 BENCHMARK(BM_NaiveSolution)->Range(16, 512);
 
 // Exports the solve's work counters (per solve, not per iteration) so the
-// report shows how many fused evaluations, cache hits and direction-LP
-// solves one FR-OPT run costs at each size.
+// report shows how many fused evaluations (cuts), master-LP solves and
+// schedule materialisations one FR-OPT run costs at each size.
 void reportFrOptCounters(benchmark::State& state, const FrOptCounters& c) {
   state.counters["evals"] = static_cast<double>(c.evaluations);
-  state.counters["cache_hits"] = static_cast<double>(c.cacheHits);
-  state.counters["dir_lps"] = static_cast<double>(c.directionLpSolves);
+  state.counters["master_lps"] = static_cast<double>(c.masterLpSolves);
   state.counters["sched_solves"] = static_cast<double>(c.scheduleSolves);
 }
 
@@ -95,30 +93,6 @@ void BM_FrOpt(benchmark::State& state) {
   reportFrOptCounters(state, counters);
 }
 BENCHMARK(BM_FrOpt)->Range(16, 256);
-
-void BM_FrOptParallel(benchmark::State& state) {
-  const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)), 5);
-  // Parallel mode must reproduce the serial result bit for bit (pure
-  // evaluations, index-ordered reductions); bail out loudly if it ever
-  // diverges rather than timing a wrong computation. One pool serves every
-  // iteration, so the loop times solves, not thread start-up.
-  ThreadPool pool(2);
-  FrOptOptions options;
-  options.pool = &pool;
-  const double serialAccuracy = solveFrOpt(inst).totalAccuracy;
-  if (solveFrOpt(inst, options).totalAccuracy != serialAccuracy) {
-    state.SkipWithError("parallel accuracy diverged from serial");
-    return;
-  }
-  FrOptCounters counters;
-  for (auto _ : state) {
-    FrOptResult res = solveFrOpt(inst, options);
-    counters = res.counters;
-    benchmark::DoNotOptimize(res);
-  }
-  reportFrOptCounters(state, counters);
-}
-BENCHMARK(BM_FrOptParallel)->Range(16, 256);
 
 void BM_Approx(benchmark::State& state) {
   const Instance inst = makeBenchInstance(static_cast<int>(state.range(0)), 5);

@@ -100,9 +100,8 @@ struct LpWarmStartSlot {
 /// instead of each one re-plumbing options ad hoc. Each input has exactly
 /// one field; the registry maps them onto the algorithms' own options.
 struct SolveContext {
-  /// Borrowed worker pool: approx / fr-opt fan their independent profile
-  /// evaluations out on it, and the shard coordinator its cell solves. Null
-  /// runs serially; results are bit-identical either way.
+  /// Borrowed worker pool: the shard coordinator fans its cell solves out
+  /// on it. Null runs serially; results are bit-identical either way.
   ThreadPool* pool = nullptr;
   /// Wall-clock limit (s) of the MIP solvers' branch and bound; <= 0 means
   /// unlimited.

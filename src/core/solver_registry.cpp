@@ -61,10 +61,9 @@ const std::vector<double>* energyCaps(const SolveContext& context) {
              : nullptr;
 }
 
-/// FR-OPT's options from the context: its pool, token and energy caps.
+/// FR-OPT's options from the context: its token and energy caps.
 FrOptOptions frOptOptions(const SolveContext& context) {
   FrOptOptions options;
-  options.pool = context.pool;
   options.cancel = context.cancel;
   options.machineEnergyCaps = energyCaps(context);
   return options;

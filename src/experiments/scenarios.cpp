@@ -217,9 +217,7 @@ std::vector<Table1Row> runTable1(const Table1Config& config,
       const SolveOutcome fr = frOptSolver.solve(inst, runner.context());
       row.frOptSeconds.add(fr.wallSeconds);
       row.frEvaluations.add(static_cast<double>(fr.counters.evaluations));
-      row.frCacheHits.add(static_cast<double>(fr.counters.cacheHits));
-      row.frDirectionLps.add(
-          static_cast<double>(fr.counters.directionLpSolves));
+      row.frMasterLps.add(static_cast<double>(fr.counters.masterLpSolves));
 
       DsctLp lpModel = buildFractionalLp(inst);
       if (lpWorkingSetBytes(lpModel.model) > kMaxLpBytes) {

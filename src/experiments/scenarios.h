@@ -116,8 +116,7 @@ struct Table1Row {
   RunningStats objectiveDiff;  ///< |FR-OPT − LP| when the LP finished
   // FR-OPT work counters (per solve), from FrOptResult::counters.
   RunningStats frEvaluations;  ///< fused profile evaluations
-  RunningStats frCacheHits;    ///< memoised evaluations served
-  RunningStats frDirectionLps; ///< direction-search LP solves
+  RunningStats frMasterLps;    ///< profile-search master LP solves
   // LP engine telemetry (lp::LpCounters of the simplex runs above).
   RunningStats lpPivots;           ///< simplex pivots per LP solve
   RunningStats lpRefactorizations; ///< eta-file rebuilds per LP solve

@@ -26,7 +26,7 @@ struct ApproxResult {
   double optimalityGap() const { return upperBound - totalAccuracy; }
 };
 
-/// `options` (worker pool, cancel token, per-machine energy caps) configure
+/// `options` (cancel token, per-machine energy caps) configure
 /// the FR-OPT solve whose fractional schedule is rounded.
 ApproxResult solveApprox(const Instance& inst,
                          const FrOptOptions& options = {});

@@ -1,14 +1,16 @@
 #include "sched/fr_opt.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "sched/naive_solution.h"
+#include "sched/profile_evaluator.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dsct {
@@ -16,11 +18,17 @@ namespace dsct {
 namespace {
 
 constexpr double kImprovementTol = 1e-10;
+/// The search certifies its incumbent once θ* − V(best) is at most this
+/// share of max(1, |θ*|) (DESIGN.md §25).
+constexpr double kCertifyTol = 1e-9;
+/// Smallest in-out step: the query point moves at least this share of the
+/// way from the incumbent to the master's maximiser.
+constexpr double kMinStep = 1.0 / 1024.0;
 
 /// Per-machine load ceiling (seconds): the horizon, tightened to
-/// cap_r / P_r where per-machine energy caps apply (DESIGN.md §15). Every
-/// profile move below projects onto these ceilings, so a capped solve never
-/// proposes a load the machine's battery cannot deliver.
+/// cap_r / P_r where per-machine energy caps apply (DESIGN.md §15). The
+/// search's master LP bounds every load by these ceilings, so a capped solve
+/// never proposes a load the machine's battery cannot deliver.
 EnergyProfile loadCeilings(const Instance& inst,
                            const std::vector<double>* machineEnergyCaps) {
   const double horizon = inst.maxDeadline();
@@ -38,154 +46,173 @@ EnergyProfile loadCeilings(const Instance& inst,
   return ceilings;
 }
 
-/// Grant unused budget to machines below their ceiling, most efficient
-/// first. With strict deadlines the funded machines cannot always absorb
-/// their naive profiles (their loads stall below p_r); the leftover energy
-/// then buys *parallel* capacity on so-far unfunded machines.
-EnergyProfile expandProfile(const Instance& inst, const EnergyProfile& loads,
-                            double leftover, const EnergyProfile& ceilings) {
-  EnergyProfile profile = loads;
-  for (int r : inst.machinesByEfficiencyDesc()) {
-    if (leftover <= 0.0) break;
-    const double power = inst.machine(r).power();
-    const double grow =
-        std::min(ceilings[static_cast<std::size_t>(r)] -
-                     profile[static_cast<std::size_t>(r)],
-                 leftover / power);
-    if (grow <= 0.0) continue;
-    profile[static_cast<std::size_t>(r)] += grow;
-    leftover -= grow * power;
-  }
-  return profile;
-}
+/// One Kelley cut θ <= V(p_k) + slack_k + g_k·(p − p_k), kept as
+/// θ − g_k·p <= rhs.
+struct Cut {
+  std::vector<double> gradient;
+  double rhs = 0.0;
 
-/// Expansion candidates: the efficiency-greedy profile above, plus one
-/// profile per machine that grants the whole leftover to that machine. With
-/// binding deadlines the best recipient is not necessarily the most
-/// efficient machine — a fast machine adds capacity inside every deadline
-/// window — so each candidate is evaluated by re-solving.
-std::vector<EnergyProfile> expansionCandidates(const Instance& inst,
-                                               const EnergyProfile& loads,
-                                               double leftover,
-                                               const EnergyProfile& ceilings) {
-  std::vector<EnergyProfile> candidates;
-  candidates.push_back(expandProfile(inst, loads, leftover, ceilings));
-  for (int r = 0; r < inst.numMachines(); ++r) {
-    const double power = inst.machine(r).power();
-    const double grow = std::min(ceilings[static_cast<std::size_t>(r)] -
-                                     loads[static_cast<std::size_t>(r)],
-                                 leftover / power);
-    if (grow <= 0.0) continue;
-    EnergyProfile profile = loads;
-    profile[static_cast<std::size_t>(r)] += grow;
-    candidates.push_back(std::move(profile));
+  /// The cut's bound on V at `p`.
+  double at(const EnergyProfile& p) const {
+    double value = rhs;
+    for (std::size_t r = 0; r < p.size(); ++r) value += gradient[r] * p[r];
+    return value;
   }
-  return candidates;
+};
+
+/// Where the search ended: the best profile it visited, its value, and the
+/// least master optimum, which bounds every profile's value.
+struct SearchResult {
+  EnergyProfile best;
+  double bestValue = 0.0;
+  double bound = 0.0;
+  bool cancelled = false;
+};
+
+/// The certified cutting-plane search (DESIGN.md §25): maximises the
+/// concave V(p) over {Σ_r P_r·p_r <= B, 0 <= p <= ceilings} from `start`.
+/// Each master LP maximises θ under every cut of the bundle. Each iteration
+/// queries a point between the incumbent and the master's maximiser q (an
+/// in-out step: halfway, and closer to the incumbent after each query that
+/// fails to beat it), and q itself when that query beat the incumbent or
+/// its cut leaves (θ*, q) standing. The search stops once θ* − V(best) <=
+/// kCertifyTol·max(1, |θ*|), at the iteration cap 32·(m + 1), on a master
+/// LP that does not solve, or at a cancel poll.
+SearchResult searchProfile(const Instance& inst,
+                           const ProfileEvaluator& evaluator,
+                           const EnergyProfile& ceilings,
+                           const EnergyProfile& start,
+                           const CancelToken* cancel,
+                           FrOptCounters& counters) {
+  const int m = inst.numMachines();
+  const std::size_t um = static_cast<std::size_t>(m);
+  // The budget row's right-hand side is B, or the energy the ceilings allow
+  // when that is less: always finite, so a DBL_MAX budget (the generator's
+  // reference solve) stays out of the LP's row scaling.
+  double reach = 0.0;
+  for (int r = 0; r < m; ++r) {
+    reach += inst.machine(r).power() * ceilings[static_cast<std::size_t>(r)];
+  }
+  const double budget = std::min(inst.energyBudget(), reach);
+  // Columns p_0..p_{m-1} and θ, the budget row's logical, then one logical
+  // per cut.
+  const std::size_t firstCutLogical = um + 2;
+  // A basic optimum binds at most m + 1 cuts, so shedding the slack ones
+  // before an iteration adds its (at most two) cuts keeps every master at
+  // or below 2(m + 1) cuts.
+  const std::size_t maxCuts = 2 * (um + 1);
+  const long long maxIterations = 32LL * (m + 1);
+
+  SearchResult out{start, -std::numeric_limits<double>::infinity(),
+                   inst.totalAmax(), false};
+  std::vector<Cut> bundle;
+
+  // Adds the cut at `p` and adopts p when it beats the incumbent by more
+  // than kImprovementTol; the first query, at `start`, always adopts.
+  const auto query = [&](const EnergyProfile& p) {
+    ProfileCut cut = evaluator.evaluateWithCut(p);
+    double rhs = cut.value + cut.slack;
+    for (std::size_t r = 0; r < um; ++r) rhs -= cut.gradient[r] * p[r];
+    bundle.push_back({std::move(cut.gradient), rhs});
+    if (cut.value > out.bestValue + kImprovementTol) {
+      out.best = p;
+      out.bestValue = cut.value;
+    }
+  };
+
+  const auto solveMaster = [&]() {
+    lp::Model master;
+    master.setMaximize(true);
+    for (std::size_t r = 0; r < um; ++r) {
+      master.addVariable(0.0, ceilings[r], 0.0);
+    }
+    const int theta = master.addVariable(-lp::kInfinity, lp::kInfinity, 1.0);
+    std::vector<std::pair<int, double>> budgetRow;
+    for (int r = 0; r < m; ++r) {
+      budgetRow.emplace_back(r, inst.machine(r).power());
+    }
+    master.addConstraint(std::move(budgetRow), lp::Sense::kLe, budget);
+    for (const Cut& cut : bundle) {
+      std::vector<std::pair<int, double>> row;
+      for (int r = 0; r < m; ++r) {
+        const double g = cut.gradient[static_cast<std::size_t>(r)];
+        if (g != 0.0) row.emplace_back(r, -g);
+      }
+      row.emplace_back(theta, 1.0);
+      master.addConstraint(std::move(row), lp::Sense::kLe, cut.rhs);
+    }
+    counters.peakCuts =
+        std::max(counters.peakCuts, static_cast<int>(bundle.size()));
+    ++counters.masterLpSolves;
+    return lp::solveLp(master);
+  };
+
+  // Drops every cut whose logical is basic (slack) at the master's optimum.
+  const auto shedSlackCuts = [&](const lp::LpBasis& basis) {
+    std::vector<Cut> kept;
+    for (std::size_t k = 0; k < bundle.size(); ++k) {
+      if (basis.status[firstCutLogical + k] == lp::BasisStatus::kBasic) {
+        continue;
+      }
+      kept.push_back(std::move(bundle[k]));
+    }
+    bundle = std::move(kept);
+  };
+
+  query(start);
+  double step = 0.5;
+  for (long long iteration = 0;; ++iteration) {
+    if (stopRequested(cancel)) {
+      out.cancelled = true;
+      break;
+    }
+    const lp::LpResult master = solveMaster();
+    if (master.status != lp::SolveStatus::kOptimal) {
+      ++counters.searchCapHits;
+      break;
+    }
+    const double thetaStar = master.objective;
+    out.bound = std::min(out.bound, thetaStar);
+    const double tol = kCertifyTol * std::max(1.0, std::abs(thetaStar));
+    if (thetaStar - out.bestValue <= tol) break;
+    if (iteration == maxIterations) {
+      ++counters.searchCapHits;
+      break;
+    }
+    ++counters.searchIterations;
+    if (bundle.size() + 2 > maxCuts) shedSlackCuts(master.basis);
+
+    // The maximiser, snapped into the box and scaled into the budget the LP
+    // met only to its feasibility tolerance.
+    EnergyProfile q(um);
+    double energy = 0.0;
+    for (std::size_t r = 0; r < um; ++r) {
+      q[r] = std::clamp(master.x[r], 0.0, ceilings[r]);
+      energy += inst.machine(static_cast<int>(r)).power() * q[r];
+    }
+    if (energy > budget) {
+      const double scale = budget / energy;
+      for (double& load : q) load *= scale;
+    }
+    EnergyProfile inner(um);
+    for (std::size_t r = 0; r < um; ++r) {
+      inner[r] = out.best[r] + step * (q[r] - out.best[r]);
+    }
+    const double incumbent = out.bestValue;
+    query(inner);
+    // Concavity gives V(inner) >= (1 − step)·V(incumbent) + step·V(q), so q
+    // can beat the incumbent only when the inner point did; on
+    // battery-capped fleets, whose optimum sits on a vertex of the box, it
+    // usually does. A miss means the maximiser lies past where V turns
+    // down: the next query stays closer to the incumbent.
+    const bool improved = out.bestValue > incumbent;
+    step = improved ? 0.5 : std::max(kMinStep, 0.5 * step);
+    if (improved || bundle.back().at(q) >= thetaStar - tol) query(q);
+  }
+  return out;
 }
 
 }  // namespace
-
-std::optional<PairMove> bestPairMove(const Instance& inst,
-                                     const ProfileEvaluator& evaluator,
-                                     const EnergyProfile& loads,
-                                     double baseAccuracy, ThreadPool* pool,
-                                     const PairProbeHook* probeHook,
-                                     const EnergyProfile* maxLoads) {
-  const double horizon = inst.maxDeadline();
-  const int m = inst.numMachines();
-  const auto ceilingOf = [&](int r) {
-    return maxLoads != nullptr ? (*maxLoads)[static_cast<std::size_t>(r)]
-                               : horizon;
-  };
-
-  struct Direction {
-    int from;
-    int to;
-    double cap;  ///< largest energy-conserving transfer (J)
-  };
-  std::vector<Direction> directions;
-  for (int from = 0; from < m; ++from) {
-    const double available =
-        loads[static_cast<std::size_t>(from)] * inst.machine(from).power();
-    if (available <= 1e-12) continue;
-    for (int to = 0; to < m; ++to) {
-      if (to == from) continue;
-      // The recipient can absorb at most its headroom to the horizon (or
-      // its energy-cap ceiling when one applies). A larger transfer would
-      // have to clamp the recipient while still deducting the full delta
-      // from the donor — destroying energy — so the probe values past this
-      // cap are meaningless and the old uncapped screen (probes at
-      // available/2, available/64, available) could dismiss a direction
-      // whose entire improvement region lies within the much smaller cap.
-      const double headroom =
-          (ceilingOf(to) - loads[static_cast<std::size_t>(to)]) *
-          inst.machine(to).power();
-      const double cap = std::min(available, headroom);
-      if (cap <= 1e-12) continue;
-      directions.push_back({from, to, cap});
-    }
-  }
-
-  // Each direction is an independent concave 1-D search against the shared
-  // base loads: pure work, fanned across the pool when one is given. The
-  // reduction below is index-ordered, so serial and parallel runs pick the
-  // same move.
-  const auto probe = [&](std::size_t k) -> PairMove {
-    const Direction& dir = directions[k];
-    const double powerFrom = inst.machine(dir.from).power();
-    const double powerTo = inst.machine(dir.to).power();
-    const auto valueAt = [&](double delta) {
-      EnergyProfile profile = loads;
-      profile[static_cast<std::size_t>(dir.from)] -= delta / powerFrom;
-      // delta <= cap keeps the recipient at or below the horizon: energy is
-      // conserved without clamping.
-      profile[static_cast<std::size_t>(dir.to)] += delta / powerTo;
-      if (probeHook != nullptr) (*probeHook)(dir.from, dir.to, delta, profile);
-      return evaluator.evaluate(profile);
-    };
-    PairMove move;
-    move.from = dir.from;
-    move.to = dir.to;
-    move.accuracy = baseAccuracy;
-    // Quick screen: skip directions with no improvement anywhere.
-    if (valueAt(dir.cap / 2.0) <= baseAccuracy + kImprovementTol &&
-        valueAt(dir.cap / 64.0) <= baseAccuracy + kImprovementTol &&
-        valueAt(dir.cap) <= baseAccuracy + kImprovementTol) {
-      return move;  // not improving; filtered by the reduction
-    }
-    // V(delta) is concave (LP value of its right-hand side): ternary search
-    // pins the best transfer size along this direction.
-    double lo = 0.0;
-    double hi = dir.cap;
-    for (int iter = 0; iter < 48 && hi - lo > 1e-12 * dir.cap; ++iter) {
-      const double m1 = lo + (hi - lo) / 3.0;
-      const double m2 = hi - (hi - lo) / 3.0;
-      if (valueAt(m1) < valueAt(m2)) {
-        lo = m1;
-      } else {
-        hi = m2;
-      }
-    }
-    move.delta = (lo + hi) / 2.0;
-    move.profile = loads;
-    move.profile[static_cast<std::size_t>(dir.from)] -= move.delta / powerFrom;
-    move.profile[static_cast<std::size_t>(dir.to)] += move.delta / powerTo;
-    if (probeHook != nullptr) {
-      (*probeHook)(dir.from, dir.to, move.delta, move.profile);
-    }
-    move.accuracy = evaluator.evaluate(move.profile);
-    return move;
-  };
-
-  std::vector<PairMove> moves = parallelMap(pool, directions.size(), probe);
-
-  std::optional<PairMove> best;
-  for (PairMove& move : moves) {
-    if (move.accuracy <= baseAccuracy + kImprovementTol) continue;
-    if (!best || move.accuracy > best->accuracy) best = std::move(move);
-  }
-  return best;
-}
 
 FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
   DSCT_CHECK_MSG(options.machineEnergyCaps == nullptr ||
@@ -195,15 +222,14 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
                      << " entries for " << inst.numMachines() << " machines");
   const Stopwatch totalWatch;
   ProfileEvaluator evaluator(inst);
-  ThreadPool* pool = options.pool;
 
   NaiveSolution naive = computeNaiveSolution(inst);
   FrOptResult result{std::move(naive.schedule), std::move(naive.profile),
-                     {}, {}, {}, 0.0, 0.0, false};
+                     {}, {}, {}, 0.0, inst.totalAmax(), 0.0, false};
 
   // Per-machine load ceilings: the horizon, tightened by the energy caps.
   // With caps active the naive start is projected onto the capped box and
-  // re-materialised, so every later move starts from a cap-feasible profile.
+  // re-materialised, so refine starts from a cap-feasible schedule.
   const bool capped = options.machineEnergyCaps != nullptr;
   const EnergyProfile ceilings = loadCeilings(inst, options.machineEnergyCaps);
   if (capped) {
@@ -221,269 +247,44 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
     }
   }
 
-  // Cooperative stop: polled at the outer rounds and inside the escape
-  // searches. Marks the result cancelled exactly when a poll fires, so a
-  // solve that runs to completion never reports cancellation.
-  const auto stopNow = [&]() {
-    if (stopRequested(options.cancel)) {
-      result.cancelled = true;
-      return true;
-    }
-    return false;
-  };
-
-  // Forward the token (and the energy caps) into RefineProfile's round loop.
-  RefineOptions refineOptions;
-  refineOptions.cancel = options.cancel;
-  refineOptions.machineEnergyCaps = options.machineEnergyCaps;
-  // Refine's ψ order depends on the instance alone: every refine call of
-  // this solve walks one plan (DESIGN.md §19).
-  const Stopwatch planWatch;
-  const RefinePlan plan = buildRefinePlan(inst, evaluator.sortedSegments());
-  result.counters.refineSeconds += planWatch.elapsedSeconds();
-  // True while the schedule is the one a transfer-free, uncut refine call
-  // returned. Refine is a function of (instance, schedule, options), so the
-  // next call would move nothing either and is skipped (DESIGN.md §19).
-  bool settled = false;
-
-  // Alternate three fixed-point steps until none improves:
-  //  * expandProfile — spend leftover budget on additional parallel
-  //    capacity (complementary slackness on the budget row);
-  //  * refineProfile — move energy between (segment, machine) pairs
-  //    (explores the profile space, Algorithm 3);
-  //  * solveForProfile — re-derive the optimal allocation for the current
-  //    machine loads (Algorithm 2's core, exact for any given profile).
-  // The plain paper pipeline is one refine pass; the extra steps repair the
-  // cases a transfer-only pass cannot reach (DESIGN.md §6).
-  constexpr int kMaxOuterRounds = 16;
+  // One RefineProfile pass (Algorithm 4), with the token and the energy caps
+  // forwarded into its round loop.
   double currentAccuracy = result.schedule.totalAccuracy(inst);
-
-  // Adopt `profile` when it beats the incumbent. The fused evaluator value
-  // screens candidates cheaply; a full schedule is materialised only on
-  // improvement, and the final comparison re-checks on the materialised
-  // accuracy (it can differ from the fused sum in the last ulp).
-  const auto maybeAdoptProfile = [&](const EnergyProfile& profile) {
-    if (evaluator.cached(profile) <= currentAccuracy + kImprovementTol) {
-      return false;
-    }
-    FractionalSchedule candidate = evaluator.schedule(profile);
-    const double accuracy = candidate.totalAccuracy(inst);
-    if (accuracy <= currentAccuracy + kImprovementTol) return false;
-    result.schedule = std::move(candidate);
-    currentAccuracy = accuracy;
-    settled = false;
-    return true;
-  };
-
-  // Escape step for plateaus of the first-order moves: move a quantum of
-  // *profile energy* between machines and re-solve. Because the optimal
-  // value is a concave function of the profile vector (LP value of its
-  // RHS), a pairwise line search over transfer sizes recovers composite
-  // moves that single (segment, machine) transfers cannot express. Best-
-  // improvement rounds: every direction is probed against the same base,
-  // the best move is adopted, then the search restarts from the new loads.
-  const auto pairSearch = [&]() {
-    bool improved = false;
-    for (;;) {
-      if (stopNow()) break;
-      const EnergyProfile loads = result.schedule.machineLoads();
-      const std::optional<PairMove> move =
-          bestPairMove(inst, evaluator, loads, currentAccuracy, pool, nullptr,
-                       capped ? &ceilings : nullptr);
-      if (!move.has_value() || !maybeAdoptProfile(move->profile)) break;
-      ++result.counters.pairMoves;
-      improved = true;
-    }
-    return improved;
-  };
-
-  // Direction search over the profile polytope
-  // {p : Σ p_r P_r <= B, 0 <= p_r <= d_max}. V(p) — the optimal accuracy
-  // for profile caps p — is concave (LP value as a function of its RHS) but
-  // kinked: at a kink, directional derivatives are superadditive, so a
-  // joint multi-machine move can improve while every pairwise move fails.
-  // We therefore compute both one-sided derivatives per machine and solve a
-  // tiny direction LP (split d = u − v); a concave line search along the
-  // resulting direction then takes the step.
-  const auto directionSearch = [&]() {
-    const double horizon = inst.maxDeadline();
-    const int m = inst.numMachines();
-    bool improvedAny = false;
-    EnergyProfile p = result.schedule.machineLoads();
-    for (int iter = 0; iter < 24; ++iter) {
-      if (stopNow()) break;
-      const double v0 = evaluator.cached(p);
-      const double eps = std::max(1e-10, 1e-7 * horizon);
-      // The 2m one-sided derivative probes are independent: batch them
-      // through the evaluator (fanning across the pool when given).
-      std::vector<EnergyProfile> probes;
-      std::vector<int> probeMachine;  ///< r for probe i; up if >= 0 else ~r
-      for (int r = 0; r < m; ++r) {
-        if (p[static_cast<std::size_t>(r)] + eps <=
-            ceilings[static_cast<std::size_t>(r)]) {
-          EnergyProfile q = p;
-          q[static_cast<std::size_t>(r)] += eps;
-          probes.push_back(std::move(q));
-          probeMachine.push_back(r);
-        }
-        if (p[static_cast<std::size_t>(r)] >= eps) {
-          EnergyProfile q = p;
-          q[static_cast<std::size_t>(r)] -= eps;
-          probes.push_back(std::move(q));
-          probeMachine.push_back(~r);
-        }
-      }
-      const std::vector<double> probeValues =
-          evaluator.evaluateBatch(probes, pool);
-      std::vector<double> gainUp(static_cast<std::size_t>(m), 0.0);
-      std::vector<double> lossDown(static_cast<std::size_t>(m), 0.0);
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (probeMachine[i] >= 0) {
-          gainUp[static_cast<std::size_t>(probeMachine[i])] =
-              (probeValues[i] - v0) / eps;
-        } else {
-          lossDown[static_cast<std::size_t>(~probeMachine[i])] =
-              (v0 - probeValues[i]) / eps;
-        }
-      }
-      // Direction LP: max Σ gainUp_r u_r − Σ lossDown_r v_r
-      //   s.t. Σ P_r (u_r − v_r) <= budget slack,
-      //        0 <= u_r <= ceiling_r − p_r, 0 <= v_r <= p_r
-      // (ceiling_r = d_max, tightened by the per-machine energy cap).
-      lp::Model dir;
-      dir.setMaximize(true);
-      std::vector<std::pair<int, double>> budgetRow;
-      for (int r = 0; r < m; ++r) {
-        const double power = inst.machine(r).power();
-        const int u = dir.addVariable(
-            0.0,
-            std::max(0.0, ceilings[static_cast<std::size_t>(r)] -
-                              p[static_cast<std::size_t>(r)]),
-            gainUp[static_cast<std::size_t>(r)]);
-        const int v = dir.addVariable(0.0, p[static_cast<std::size_t>(r)],
-                                      -lossDown[static_cast<std::size_t>(r)]);
-        budgetRow.emplace_back(u, power);
-        budgetRow.emplace_back(v, -power);
-      }
-      double slack = inst.energyBudget();
-      for (int r = 0; r < m; ++r) {
-        slack -= p[static_cast<std::size_t>(r)] * inst.machine(r).power();
-      }
-      dir.addConstraint(std::move(budgetRow), lp::Sense::kLe,
-                        std::max(0.0, slack));
-      ++result.counters.directionLpSolves;
-      const lp::LpResult dirRes = lp::solveLp(dir);
-      if (dirRes.status != lp::SolveStatus::kOptimal ||
-          dirRes.objective <= 1e-9) {
-        break;  // no improving direction at this kink
-      }
-      EnergyProfile direction(static_cast<std::size_t>(m), 0.0);
-      for (int r = 0; r < m; ++r) {
-        direction[static_cast<std::size_t>(r)] =
-            dirRes.x[static_cast<std::size_t>(2 * r)] -
-            dirRes.x[static_cast<std::size_t>(2 * r + 1)];
-      }
-      // Concave line search along p + t·direction, t in [0, 1].
-      const auto at = [&](double t) {
-        EnergyProfile q = p;
-        for (int r = 0; r < m; ++r) {
-          q[static_cast<std::size_t>(r)] = std::clamp(
-              q[static_cast<std::size_t>(r)] +
-                  t * direction[static_cast<std::size_t>(r)],
-              0.0, ceilings[static_cast<std::size_t>(r)]);
-        }
-        return q;
-      };
-      double lo = 0.0, hi = 1.0;
-      for (int ls = 0; ls < 48 && hi - lo > 1e-12; ++ls) {
-        const double m1 = lo + (hi - lo) / 3.0;
-        const double m2 = hi - (hi - lo) / 3.0;
-        if (evaluator.cached(at(m1)) < evaluator.cached(at(m2))) {
-          lo = m1;
-        } else {
-          hi = m2;
-        }
-      }
-      // Prefer the full step when the line search plateaus at the boundary.
-      EnergyProfile next = at((lo + hi) / 2.0);
-      if (evaluator.cached(at(1.0)) >= evaluator.cached(next)) next = at(1.0);
-      if (evaluator.cached(next) <= v0 + kImprovementTol) break;
-      p = std::move(next);
-      if (maybeAdoptProfile(p)) {
-        ++result.counters.directionSteps;
-        improvedAny = true;
-      }
-    }
-    return improvedAny;
-  };
-
-  double best = currentAccuracy;
-  for (int round = 0; round < kMaxOuterRounds; ++round) {
-    if (stopNow()) break;
+  if (stopRequested(options.cancel)) {
+    result.cancelled = true;
+  } else {
+    const Stopwatch watch;
+    RefineOptions refineOptions;
+    refineOptions.cancel = options.cancel;
+    refineOptions.machineEnergyCaps = options.machineEnergyCaps;
+    // The plan is a temporary: it is freed before the search starts, so a
+    // solve holds its largest structure only while refine walks it.
+    result.refineStats = refineProfile(
+        inst, buildRefinePlan(inst, evaluator.sortedSegments()),
+        result.schedule, refineOptions);
     ++result.counters.outerRounds;
+    currentAccuracy = result.schedule.totalAccuracy(inst);
+    result.counters.refineSeconds += watch.elapsedSeconds();
 
-    {
-      const Stopwatch watch;
-      const double leftover =
-          inst.energyBudget() - result.schedule.energy(inst);
-      if (leftover > 1e-12 * std::max(1.0, inst.energyBudget())) {
-        const EnergyProfile loads = result.schedule.machineLoads();
-        const std::vector<EnergyProfile> candidates =
-            expansionCandidates(inst, loads, leftover, ceilings);
-        const std::vector<double> values =
-            evaluator.evaluateBatch(candidates, pool);
-        // Adopting only the argmax (first on ties) matches the sequential
-        // adopt-each-improving-candidate chain: the chain's final incumbent
-        // is exactly the first maximal improving candidate.
-        std::size_t bestIdx = candidates.size();
-        double bestValue = currentAccuracy + kImprovementTol;
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (values[i] > bestValue) {
-            bestValue = values[i];
-            bestIdx = i;
-          }
-        }
-        if (bestIdx < candidates.size()) {
-          maybeAdoptProfile(candidates[bestIdx]);
-        }
+    // The search starts at the refined loads; its first cut is also the
+    // re-solve of those loads (Algorithm 2's core, exact for any profile).
+    // Its best profile is materialised only when the fused value beats the
+    // incumbent, and adopted on the materialised accuracy (it can differ
+    // from the fused sum in the last ulp).
+    const Stopwatch searchWatch;
+    const SearchResult search =
+        searchProfile(inst, evaluator, ceilings, result.schedule.machineLoads(),
+                      options.cancel, result.counters);
+    result.cancelled = search.cancelled;
+    result.upperBound = search.bound;
+    if (search.bestValue > currentAccuracy + kImprovementTol) {
+      FractionalSchedule candidate = evaluator.schedule(search.best);
+      const double accuracy = candidate.totalAccuracy(inst);
+      if (accuracy > currentAccuracy + kImprovementTol) {
+        result.schedule = std::move(candidate);
       }
-      result.counters.expandSeconds += watch.elapsedSeconds();
     }
-
-    // A skipped call counts as the transfer-free call it would repeat; its
-    // maybeAdoptProfile would re-reject the loads it already rejected.
-    RefineStats stats;
-    if (!settled) {
-      const Stopwatch watch;
-      stats = refineProfile(inst, plan, result.schedule, refineOptions);
-      result.refineStats.add(stats);
-      // A call cut short saw the token stop, and a token stays stopped.
-      settled = stats.transfers == 0 && refineOptions.maxRounds > 0 &&
-                !stopRequested(refineOptions.cancel);
-      // refineProfile mutates the schedule in place; refresh the incumbent
-      // accuracy before re-solving for the refined loads.
-      currentAccuracy = result.schedule.totalAccuracy(inst);
-      maybeAdoptProfile(result.schedule.machineLoads());
-      result.counters.refineSeconds += watch.elapsedSeconds();
-    }
-
-    if (stats.transfers == 0 && currentAccuracy <= best + kImprovementTol) {
-      // First-order fixed point reached: try the pairwise profile search,
-      // then the Frank-Wolfe refinement, before concluding.
-      bool escaped;
-      {
-        const Stopwatch watch;
-        escaped = pairSearch();
-        result.counters.pairSeconds += watch.elapsedSeconds();
-      }
-      if (!escaped) {
-        const Stopwatch watch;
-        escaped = directionSearch();
-        result.counters.directionSeconds += watch.elapsedSeconds();
-      }
-      if (!escaped) break;
-    }
-    best = std::max(best, currentAccuracy);
+    result.counters.searchSeconds += searchWatch.elapsedSeconds();
   }
 
   result.refinedProfile = result.schedule.machineLoads();
@@ -492,7 +293,6 @@ FrOptResult solveFrOpt(const Instance& inst, const FrOptOptions& options) {
 
   const EvaluatorCounters ec = evaluator.counters();
   result.counters.evaluations = ec.evaluations;
-  result.counters.cacheHits = ec.cacheHits;
   result.counters.scheduleSolves = ec.scheduleSolves;
   result.counters.slackQueries = result.refineStats.slack.queries;
   result.counters.slackHits = result.refineStats.slack.hits;

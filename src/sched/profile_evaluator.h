@@ -1,24 +1,17 @@
-// Profile-evaluation engine for DSCT-EA-FR-OPT's inner loop.
+// Profile-evaluation engine for DSCT-EA-FR-OPT's profile search.
 //
-// Every step of the FR-OPT fixed-point iteration (expansion candidates, the
-// pairwise transfer search, the direction search) asks the same question
-// thousands of times: "what is the optimal total accuracy under per-machine
-// load caps p?". Answering it from scratch re-flattens and re-sorts the
-// segment jobs and materialises a full n×m schedule each time. This engine
-// precomputes the sorted segment list once per instance, answers the
-// accuracy question in a single fused pass (temporary deadlines →
-// Algorithm 1 → accuracy, no schedule matrix), memoises answers keyed on
-// the quantised profile vector, and exposes counters so benchmarks can see
-// where the work goes. Batch evaluation optionally fans misses across a
-// ThreadPool; both modes compute bit-identical values and commit memo
-// writes single-threaded in index order, so results and memo contents are
-// deterministic regardless of interleaving.
+// FR-OPT's cutting-plane search (DESIGN.md §25) asks one question per
+// visited profile: "what is the optimal total accuracy V(p) under
+// per-machine load caps p, and how does it change with p?". Answering it
+// from scratch re-flattens and re-sorts the segment jobs and materialises a
+// full n×m schedule each time. This engine precomputes the sorted segment
+// list once per instance and answers both halves in a single fused pass
+// (temporary deadlines → Algorithm 1 → accuracy and supergradient, no
+// schedule matrix); it materialises a schedule only when asked, and counts
+// both kinds of work so benchmarks can see where it goes.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/energy_profile.h"
@@ -28,16 +21,24 @@
 
 namespace dsct {
 
-class ThreadPool;
-
 /// Observability counters for one evaluator (and, via FrOptResult, one
 /// FR-OPT solve).
 struct EvaluatorCounters {
   long long evaluations = 0;    ///< fused profile evaluations performed
-  long long cacheHits = 0;      ///< memoised answers served
   long long scheduleSolves = 0; ///< full n×m schedule materialisations
 };
 
+/// V(p) and one supergradient of V at p: V(q) <= value + slack +
+/// gradient·(q − p) for every profile q (V is concave, DESIGN.md §25).
+struct ProfileCut {
+  double value = 0.0;
+  /// Σ_j y_j·(D_j(p) − Σ_{i<=j} w_i): the dual-weighted room left on the
+  /// prefixes counted as tight; 0 when every one of them is exactly tight.
+  double slack = 0.0;
+  std::vector<double> gradient;  ///< accuracy per second of load, per machine
+};
+
+/// One evaluator serves one solve on one thread: the counters are plain.
 class ProfileEvaluator {
  public:
   explicit ProfileEvaluator(const Instance& inst);
@@ -45,32 +46,17 @@ class ProfileEvaluator {
   ProfileEvaluator(const ProfileEvaluator&) = delete;
   ProfileEvaluator& operator=(const ProfileEvaluator&) = delete;
 
-  const Instance& instance() const { return inst_; }
-
   /// Optimal total accuracy under per-machine load caps `profile`, without
-  /// materialising the schedule. Pure and thread-safe; no memoisation.
-  double evaluate(const EnergyProfile& profile) const;
-
-  /// Memoised evaluate(). Not thread-safe — call from the coordinating
-  /// thread only; worker threads use evaluate() or evaluateBatch().
-  double cached(const EnergyProfile& profile);
-
-  /// Evaluate many profiles, serving memoised answers and computing the
-  /// misses — in index order serially, or via `pool` when given. Both modes
-  /// produce bit-identical values *and* bit-identical memo contents:
-  /// evaluations are pure functions of their profile, and every memo write
-  /// happens in an index-ordered commit phase after all misses are computed,
-  /// so two misses that share a quantised key are each computed
-  /// (tests/sched_pooled_eval_test.cpp).
-  std::vector<double> evaluateBatch(std::span<const EnergyProfile> profiles,
-                                    ThreadPool* pool);
+  /// materialising the schedule, and a supergradient read off the same
+  /// Algorithm-1 pass; counts as one evaluation.
+  ProfileCut evaluateWithCut(const EnergyProfile& profile) const;
 
   /// Full optimal schedule for `profile` (Algorithm 2's core), reusing the
-  /// pre-sorted segment list. Thread-safe.
+  /// pre-sorted segment list.
   FractionalSchedule schedule(const EnergyProfile& profile) const;
 
   /// Snapshot of the counters accumulated so far.
-  EvaluatorCounters counters() const;
+  EvaluatorCounters counters() const { return counters_; }
 
   /// The instance's segment jobs in sortSegmentJobs order, built once.
   std::span<const SegmentJob> sortedSegments() const {
@@ -78,22 +64,9 @@ class ProfileEvaluator {
   }
 
  private:
-  using CacheKey = std::vector<std::int64_t>;
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& key) const;
-  };
-
-  CacheKey keyOf(const EnergyProfile& profile) const;
-  std::vector<double> workFor(const EnergyProfile& profile) const;
-
   const Instance& inst_;
   std::vector<SegmentJob> sortedSegments_;  ///< slope-desc, built once
-  double quantum_;  ///< cache-key resolution (seconds of profile)
-
-  std::unordered_map<CacheKey, double, CacheKeyHash> cache_;
-  mutable std::atomic<long long> evaluations_{0};
-  mutable std::atomic<long long> scheduleSolves_{0};
-  long long cacheHits_ = 0;
+  mutable EvaluatorCounters counters_;
 };
 
 }  // namespace dsct

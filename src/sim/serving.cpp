@@ -154,7 +154,7 @@ class ServingRun {
   void noteShard(long long epoch);
   void incident(long long epoch, IncidentKind kind, double value = 0.0,
                 int depth = 0) {
-    stats_.incidents.push_back({epoch, kind, value, depth});
+    stats_.incidents.push_back({static_cast<int>(epoch), kind, value, depth});
   }
   double now() const {
     return options_.clock ? options_.clock() : steadyNowSeconds();
@@ -240,8 +240,14 @@ ServingRun::ServingRun(const std::vector<Machine>& machines,
   // Fault events and the availability layer (DESIGN.md §15) are generated
   // only when enabled, so the default path draws no extra random numbers
   // and stays bit-identical to the driver before either existed.
-  const auto numEpochs = static_cast<long long>(
-      std::ceil(options.horizonSeconds / options.epochSeconds));
+  // EpochIncident stores the epoch index as an int.
+  const double epochsInHorizon =
+      std::ceil(options.horizonSeconds / options.epochSeconds);
+  DSCT_CHECK_MSG(epochsInHorizon <= std::numeric_limits<int>::max(),
+                 "horizonSeconds / epochSeconds is " << epochsInHorizon
+                                                     << " epochs; at most "
+                                                     << "INT_MAX are served");
+  const auto numEpochs = static_cast<long long>(epochsInHorizon);
   const auto numMachines = static_cast<int>(machines.size());
   if (options.faults.enabled) {
     faults_ = FaultTrace::generate(numMachines, options.horizonSeconds,

@@ -142,6 +142,17 @@ TEST(ServingScenario, TraceValidation) {
   }
 }
 
+TEST(ServingScenario, RejectsMoreEpochsThanAnIntHolds) {
+  // EpochIncident keeps the epoch index as an int, so a horizon of 2^31
+  // epochs is refused before the first epoch runs.
+  const auto machines = machinesFromCatalog({"T4"});
+  sim::ServingOptions o = traceOptions(tightTrace(1.0));
+  o.horizonSeconds = 0.5 * 2147483648.0;
+  EXPECT_THROW(sim::runServing(machines, "edf3", o), CheckError);
+  o.horizonSeconds = 1e300;
+  EXPECT_THROW(sim::runServing(machines, "edf3", o), CheckError);
+}
+
 TEST(ServingScenario, ScenarioRunReplaysBitIdentically) {
   // End-to-end: materialise a parsed scenario and serve it twice — the
   // acceptance pin behind `dsct_cli serve --scenario ... --seed 7`.
